@@ -4,8 +4,10 @@
     Runs the gated stages over a 2-workload grid, writes the JSON report,
     reads it back and passes it through the gate against itself.  Asserts
     the plumbing — stage measurement, serialization, gate comparison —
-    not any throughput number: absolute cells/sec belongs to the full
-    [bench --json] run and the [catt_cli bench --check] gate. *)
+    not any timing verdict: absolute cells/sec and the obs A/A <= 5%
+    verdict belong to [catt_cli bench --check], which re-measures a
+    failing A/A before judging it, so host noise cannot fail
+    [dune runtest]. *)
 
 module Bench = Experiments.Bench_core
 
@@ -57,7 +59,8 @@ let () =
             fail "self-comparison regressed at %s" v.Bench.stage_name)
         verdicts;
       (* the obs A/A stage must ride along in the report the bench gate
-         reads: spans disabled twice (A/A, <= 5% apart) vs enabled once *)
+         reads: spans disabled twice (A/A) vs enabled once, with the
+         verdict the report computed *)
       let module J = Gpu_util.Json in
       let obs = J.member "obs" json in
       List.iter
@@ -66,11 +69,11 @@ let () =
           | Some (J.Float _) -> ()
           | _ -> fail "obs section missing float field %s" field)
         [ "disabled_ms"; "disabled_ab_pct"; "enabled_ms"; "enabled_pct" ];
-      if not (J.to_bool (J.member "disabled_within_5pct" obs)) then
-        fail "obs disabled-path A/A overhead above 5%%: %.1f%% apart"
-          r.Bench.obs.Bench.disabled_ab_pct;
-      if not r.Bench.obs.Bench.disabled_within_5pct then
-        fail "obs report/JSON verdict mismatch");
+      let o = r.Bench.obs in
+      if o.Bench.disabled_within_5pct <> (o.Bench.disabled_ab_pct <= 5.) then
+        fail "obs verdict disagrees with its own A/A figure";
+      if J.to_bool (J.member "disabled_within_5pct" obs) <> o.Bench.disabled_within_5pct
+      then fail "obs report/JSON verdict mismatch");
   if !Obs.Span.enabled then fail "bench left span tracing enabled";
   if Obs.Span.finished () <> [] then fail "bench left spans in the sink";
   Printf.printf

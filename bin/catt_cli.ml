@@ -402,7 +402,8 @@ let bench_cmd =
       & info [ "check" ]
           ~doc:
             "re-measure the gated stages and exit non-zero when any stage \
-             regresses more than 10% below the committed cells/sec")
+             regresses more than 10% below the committed cells/sec, or when \
+             the grid or serve telemetry A/A lands more than 5% apart")
   in
   (* the serve stage lives above Bench_core in the dependency order, so
      it is composed into both the measurement and the retry path here *)
@@ -455,32 +456,36 @@ let bench_cmd =
         exit 1
       end;
       print_endline "throughput gate: PASS";
-      (* the telemetry plane's disabled path must stay free on the serve
-         loop too: the same A/A protocol, re-measured up to 3 times so a
-         noisy scheduler slice cannot fail the gate on its own *)
-      let rec serve_obs_gate attempt =
-        let o = Serve.Bench.obs_overhead () in
-        Printf.printf
-          "  serve/obs A/A: disabled %.2f ms (%.1f%% apart), enabled %.2f ms \
-           (+%.1f%%)\n\
-           %!"
-          o.Bench.disabled_ms o.Bench.disabled_ab_pct o.Bench.enabled_ms
-          o.Bench.enabled_pct;
-        if o.Bench.disabled_within_5pct then true
-        else if attempt < 3 then begin
+      (* the telemetry plane's disabled path must stay free, on the grid
+         and on the serve loop: an A/A of two disabled batches more than
+         5% apart fails, re-measured up to 3 times so a noisy scheduler
+         slice cannot fail the gate on its own *)
+      let aa_gate name measure =
+        let rec attempt n =
+          let o = measure () in
           Printf.printf
-            "  serve/obs A/A above 5%% — re-measuring (attempt %d of 3)\n%!"
-            (attempt + 1);
-          serve_obs_gate (attempt + 1)
+            "  %s A/A: disabled %.2f ms (%.1f%% apart), enabled %.2f ms \
+             (+%.1f%%)\n\
+             %!"
+            name o.Bench.disabled_ms o.Bench.disabled_ab_pct o.Bench.enabled_ms
+            o.Bench.enabled_pct;
+          if o.Bench.disabled_within_5pct then true
+          else if n < 3 then begin
+            Printf.printf
+              "  %s A/A above 5%% — re-measuring (attempt %d of 3)\n%!" name
+              (n + 1);
+            attempt (n + 1)
+          end
+          else false
+        in
+        if attempt 1 then Printf.printf "%s obs-overhead gate: PASS\n" name
+        else begin
+          Printf.printf "%s obs-overhead gate: FAIL (disabled A/A > 5%%)\n" name;
+          exit 1
         end
-        else false
       in
-      if serve_obs_gate 1 then
-        print_endline "serve obs-overhead gate: PASS"
-      else begin
-        print_endline "serve obs-overhead gate: FAIL (disabled A/A > 5%)";
-        exit 1
-      end
+      aa_gate "grid" (fun () -> Bench.obs_overhead ());
+      aa_gate "serve" (fun () -> Serve.Bench.obs_overhead ())
   in
   Cmd.v
     (Cmd.info "bench"

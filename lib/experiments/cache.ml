@@ -196,6 +196,11 @@ let load ?tenant cfg ~workload ~scheme ~seed =
         Obs.Metrics.incr m_evictions;
         None
 
+(** Whether the (tenant's) shard holds an entry for the cell, valid or
+    not; no hit or miss is counted. *)
+let mem ?tenant cfg ~workload ~scheme ~seed =
+  !enabled && Sys.file_exists (path ?tenant cfg ~workload ~scheme ~seed)
+
 let store ?tenant cfg ~workload ~scheme ~seed json =
   if !enabled then begin
     Obs.Metrics.incr m_stores;

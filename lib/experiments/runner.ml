@@ -706,8 +706,11 @@ let exec_with_source (req : Request.t) =
         note_leader leader_tag;
         (* fan-out: this request did no simulation work, but its tenant
            still gets its own shard entry (so the next cold process hits
-           disk) and its own memo entry *)
-        Cache.store ?tenant cfg ~workload ~scheme:label ~seed (run_to_json r);
+           disk) and its own memo entry.  A shard that already holds the
+           entry — the one the leader just read, when both share a
+           tenant — is left alone. *)
+        if not (Cache.mem ?tenant cfg ~workload ~scheme:label ~seed) then
+          Cache.store ?tenant cfg ~workload ~scheme:label ~seed (run_to_json r);
         adopt r;
         note_source (source_label Coalesced);
         log_run (source_label Coalesced) r;
@@ -985,7 +988,12 @@ let run_co_resident_with_source ?tenant cfg (wa : Workloads.Workload.t)
         Ok (orient pr, source)
       | `Joined (_, Ok (pr, _)) ->
         Obs.Metrics.incr m_coalesced;
-        store pr;
+        (* as for solo cells: store only into a shard that lacks it *)
+        if
+          not
+            (Cache.mem ?tenant cfg ~workload:workload_label
+               ~scheme:scheme_pair_label ~seed)
+        then store pr;
         adopt pr;
         Ok (orient pr, Coalesced)))
 

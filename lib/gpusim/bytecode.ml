@@ -62,7 +62,8 @@ type instr =
   | Sel of int * int * operand * operand
       (** [Sel (dst, cond, a, b)]: per-lane [dst ← cond ≠ 0 ? a : b];
           lowers ternaries without extra divergence *)
-  | Call of string * int * int list  (** builtin, dst, argument registers *)
+  | Call of Minicuda.Builtins.fn * int * int list
+      (** builtin (resolved at compile time), dst, argument registers *)
   | Ld of space * int * int * int  (** space, dst, array id, index reg *)
   | St of space * int * int * operand  (** space, array id, index reg, src *)
   | Push_if of int * int  (** cond reg, skip target (Else_mask or Pop_mask) *)
@@ -156,7 +157,7 @@ let instr_name = function
   | Sel (d, c, a, b) ->
     Printf.sprintf "sel r%d, r%d, %s, %s" d c (operand_name a) (operand_name b)
   | Call (f, d, args) ->
-    Printf.sprintf "call r%d, %s(%s)" d f
+    Printf.sprintf "call r%d, %s(%s)" d (Minicuda.Builtins.name f)
       (String.concat ", " (List.map (Printf.sprintf "r%d") args))
   | Ld (sp, d, arr, idx) ->
     Printf.sprintf "ld.%s r%d, a%d[r%d]" (space_name sp) d arr idx

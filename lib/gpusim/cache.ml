@@ -127,14 +127,18 @@ let set_of t line =
     in
     (folded mod t.num_sets + t.num_sets) mod t.num_sets
 
-let find_way t line =
-  let base = set_of t line * t.assoc in
-  let rec scan way =
-    if way = t.assoc then -1
-    else if t.tags.(base + way) = line then base + way
-    else scan (way + 1)
-  in
-  scan 0
+(* Way scans are top-level functions with every input an argument: a
+   local [let rec] that reads [t], [line] or [base] from its scope is a
+   closure, allocated on every probe. *)
+let rec scan_ways (tags : int array) line base n i =
+  if i = n then -1
+  else if tags.(base + i) = line then base + i
+  else scan_ways tags line base n (i + 1)
+
+let rec has_invalid (tags : int array) base n i =
+  i < n && (tags.(base + i) = -1 || has_invalid tags base n (i + 1))
+
+let find_way t line = scan_ways t.tags line (set_of t line * t.assoc) t.assoc 0
 
 let touch t slot =
   t.tick <- t.tick + 1;
@@ -183,7 +187,7 @@ let miss_issue t ~now =
   if Heap.size t.inflight >= t.mshrs then begin
     let wake = Heap.peek t.inflight in
     Heap.drain_until t.inflight wake;
-    max now wake
+    if now >= wake then now else wake
   end
   else now
 
@@ -236,15 +240,7 @@ let ata_ways t = t.ata_ways
 
 let ata_find t line =
   if t.ata_ways = 0 || line < 0 then -1
-  else begin
-    let base = set_of t line * t.ata_ways in
-    let rec scan i =
-      if i = t.ata_ways then -1
-      else if t.ata_tags.(base + i) = line then base + i
-      else scan (i + 1)
-    in
-    scan 0
-  end
+  else scan_ways t.ata_tags line (set_of t line * t.ata_ways) t.ata_ways 0
 
 let ata_resident t ~line = ata_find t line >= 0
 
@@ -280,11 +276,7 @@ let ata_admit t ~line =
       Ata_promote
     end
     else begin
-      let base = set_of t line * t.assoc in
-      let rec has_invalid way =
-        way < t.assoc && (t.tags.(base + way) = -1 || has_invalid (way + 1))
-      in
-      if has_invalid 0 then Ata_fill
+      if has_invalid t.tags (set_of t line * t.assoc) t.assoc 0 then Ata_fill
       else begin
         ata_note t ~line;
         Ata_defer

@@ -25,7 +25,6 @@ type mode = Bypass_mode | Throttle_mode
 type t = {
   warmup : int;  (* accesses before the first selection *)
   epoch : int;  (* accesses between re-evaluations *)
-  top_k : int;  (* most-interfering warps flagged per SM *)
   threshold : int;  (* minimum score to be flagged *)
   pressure : float;  (* bypassed fraction that flips to throttling *)
   owners : int array;  (* direct-mapped: owning warp age, -1 = empty *)
@@ -35,7 +34,10 @@ type t = {
   mutable epoch_accesses : int;
   mutable epoch_bypassed : int;
   mutable mode : mode;
-  mutable flagged : int array;  (* currently selected warp ages *)
+  flagged : int array;
+      (* top_k slots: selected warp ages in rank order, [n_flagged] live *)
+  flagged_score : int array;  (* their scores, for the selection *)
+  mutable n_flagged : int;
 }
 
 let create ?(warmup = 512) ?(epoch = 2048) ?(top_k = 2) ?(threshold = 8)
@@ -45,7 +47,6 @@ let create ?(warmup = 512) ?(epoch = 2048) ?(top_k = 2) ?(threshold = 8)
   {
     warmup;
     epoch;
-    top_k = max 0 top_k;
     threshold = max 1 threshold;
     pressure;
     owners = Array.make (max 1 owner_entries) (-1);
@@ -55,49 +56,76 @@ let create ?(warmup = 512) ?(epoch = 2048) ?(top_k = 2) ?(threshold = 8)
     epoch_accesses = 0;
     epoch_bypassed = 0;
     mode = Bypass_mode;
-    flagged = [||];
+    flagged = Array.make (max 0 top_k) 0;
+    flagged_score = Array.make (max 0 top_k) 0;
+    n_flagged = 0;
   }
 
 let mode t = t.mode
 
-let flagged t = Array.to_list t.flagged
+let flagged t = Array.to_list (Array.sub t.flagged 0 t.n_flagged)
 
 let score t ~warp_id =
   match Hashtbl.find_opt t.scores warp_id with Some r -> !r | None -> 0
 
-let is_flagged t warp_id =
-  (* flagged is tiny (top_k entries): a linear scan beats any set here *)
-  let n = Array.length t.flagged in
-  let rec scan i = i < n && (t.flagged.(i) = warp_id || scan (i + 1)) in
-  scan 0
+(* flagged is tiny (top_k entries): a linear scan beats any set here.
+   Top-level with explicit arguments — a local scan over [t] and
+   [warp_id] would be a closure allocated per access. *)
+let rec flagged_from (flagged : int array) n warp_id i =
+  i < n && (flagged.(i) = warp_id || flagged_from flagged n warp_id (i + 1))
+
+let is_flagged t warp_id = flagged_from t.flagged t.n_flagged warp_id 0
 
 let on_evict t ~filler ~victim_line =
   let slot = victim_line mod Array.length t.owners in
   if t.owner_lines.(slot) = victim_line then begin
     let owner = t.owners.(slot) in
     if owner >= 0 && owner <> filler then begin
-      match Hashtbl.find_opt t.scores filler with
-      | Some r -> incr r
-      | None -> Hashtbl.add t.scores filler (ref 1)
+      (* [find] raising on a new filler, not [find_opt]: no [Some] per
+         bump *)
+      match Hashtbl.find t.scores filler with
+      | r -> incr r
+      | exception Not_found -> Hashtbl.add t.scores filler (ref 1)
+    end
+  end
+
+(* Offer one scored warp to the top-[top_k] selection, kept in
+   (score desc, age asc) order — a total order, so the result is the
+   prefix a full sort would give whatever order the table is walked in. *)
+let consider t w s =
+  if s >= t.threshold then begin
+    let k = Array.length t.flagged in
+    let n = t.n_flagged in
+    let p = ref 0 in
+    while
+      !p < n
+      && (t.flagged_score.(!p) > s
+         || (t.flagged_score.(!p) = s && t.flagged.(!p) < w))
+    do
+      incr p
+    done;
+    if !p < k then begin
+      let last = if n < k then n else k - 1 in
+      for i = last downto !p + 1 do
+        t.flagged.(i) <- t.flagged.(i - 1);
+        t.flagged_score.(i) <- t.flagged_score.(i - 1)
+      done;
+      t.flagged.(!p) <- w;
+      t.flagged_score.(!p) <- s;
+      if n < k then t.n_flagged <- n + 1
     end
   end
 
 let reevaluate t =
-  (* top_k warps by (score desc, age asc), score >= threshold.  The sort
-     runs once per epoch on the handful of scored warps — not hot. *)
-  let ranked =
-    List.sort
-      (fun (w1, s1) (w2, s2) ->
-        if s1 <> s2 then compare s2 s1 else compare w1 w2)
-      (Hashtbl.fold
-         (fun w r acc -> if !r >= t.threshold then (w, !r) :: acc else acc)
-         t.scores [])
-  in
-  let rec take k = function
-    | (w, _) :: rest when k > 0 -> w :: take (k - 1) rest
-    | _ -> []
-  in
-  t.flagged <- Array.of_list (take t.top_k ranked);
+  (* one walk per epoch: each warp's score is offered to the selection of
+     the top_k warps by (score desc, age asc), score >= threshold, then
+     halved (decay, so sustained interference dominates) *)
+  t.n_flagged <- 0;
+  Hashtbl.iter
+    (fun w r ->
+      consider t w !r;
+      r := !r / 2)
+    t.scores;
   (* bypassing that covers most of the traffic is just contention moved
      to the NoC/DRAM: fall back to throttling the same warps *)
   t.mode <-
@@ -108,9 +136,7 @@ let reevaluate t =
      then Throttle_mode
      else Bypass_mode);
   t.epoch_accesses <- 0;
-  t.epoch_bypassed <- 0;
-  (* decay: halve every score so sustained interference dominates *)
-  Hashtbl.iter (fun _ r -> r := !r / 2) t.scores
+  t.epoch_bypassed <- 0
 
 let on_access t ~warp_id ~line =
   t.accesses <- t.accesses + 1;

@@ -9,16 +9,21 @@
     cycle, so divergent warps occupy it for many cycles — the bandwidth
     pressure that makes cache thrashing expensive.
 
-    Data layout: the stepping path is allocation-free.  Resident warps
-    live in a flat array with stable compaction on TB retirement (oldest
-    first, as the GTO tie-break needs); the scheduler pool, coalescer
-    lines and per-instruction operand values go through preallocated
-    per-SM scratch buffers; ALU operands are staged into unboxed float
-    arrays so no per-lane float ever crosses a function boundary boxed.
-    Every simulation-visible ordering — pool order, transaction issue
-    order, profiler event order — matches the original list-based code
-    bit for bit (proven by the golden-grid digests in
-    [test/golden_profiles/golden_grid.json]). *)
+    Data layout: stepping allocates nothing per instruction (TB launch
+    and policy epochs do; [test/test_alloc.ml] counts it).  Resident
+    warps live in a flat array with stable compaction on TB retirement
+    (oldest first, as the GTO tie-break needs); each warp's SIMT mask
+    stack is a flat int array; the scheduler pool, coalescer lines and
+    per-instruction operand values go through preallocated per-SM
+    scratch buffers; ALU operands are staged into unboxed float arrays
+    and builtins run lane-wise inside [Minicuda.Builtins], so no
+    per-lane float ever crosses a function boundary boxed.  Policy
+    hooks follow the same two rules: no local closure capturing
+    variables, no float returned across a module boundary (dev builds
+    compile with [-opaque]).  Every simulation-visible ordering — pool
+    order, transaction issue order, profiler event order — matches the
+    original list-based code bit for bit (proven by the golden-grid
+    digests in [test/golden_profiles/golden_grid.json]). *)
 
 exception Sim_error of string
 
@@ -56,14 +61,19 @@ type job = {
           must never change simulation results (differential tests) *)
 }
 
-type frame_kind = F_if | F_loop
+(* The SIMT mask stack is a flat int array per warp, [frame_len] ints per
+   frame, bottom first; a push writes ints in place instead of consing a
+   record, so divergence and loop entry allocate nothing. *)
+let frame_len = 5
 
-type frame = {
-  kind : frame_kind;
-  mutable outer : int;
-  mutable pending_else : int;
-  mutable pending_cont : int;  (* lanes parked by Cont until Rejoin *)
-}
+let o_kind = 0  (* [k_if] or [k_loop] *)
+let o_outer = 1  (* mask restored when the frame pops *)
+let o_else = 2  (* lanes waiting for the else branch *)
+let o_cont = 3  (* lanes parked by Cont until Rejoin *)
+let o_loop = 4  (* begin pc of the innermost loop frame at or below, or -1 *)
+
+let k_if = 0
+let k_loop = 1
 
 type warp = {
   age : int;  (* per-SM monotonic creation stamp, GTO tie-break *)
@@ -75,15 +85,15 @@ type warp = {
   mutable pc : int;
   mutable active : int;
   mutable exited : int;
-  mutable stack : frame list;
+  mutable stk : int array;  (* SIMT mask stack, see [frame_len] *)
+  mutable depth : int;  (* frames on [stk] *)
   mutable ready_at : int;
   mutable at_barrier : bool;
   mutable finished : bool;
   mutable pool_stamp : int;
       (* generation stamp: member of the scratch pool iff equal to the
          SM's [pool_gen] (O(1) membership without a set) *)
-  mutable daws_hold : int list;
-      (* begin pcs of loops this warp is inside under DAWS, innermost first *)
+  ccws_slot : int;  (* this warp's CCWS state slot; -1 without CCWS *)
 }
 
 and tb = {
@@ -162,12 +172,13 @@ let make_dummy_warp () =
     pc = 0;
     active = 0;
     exited = 0;
-    stack = [];
+    stk = [||];
+    depth = 0;
     ready_at = max_int;
     at_barrier = false;
     finished = true;
     pool_stamp = 0;
-    daws_hold = [];
+    ccws_slot = -1;
   }
 
 (* [?l1] shares an existing L1D instead of creating one: co-resident
@@ -281,12 +292,13 @@ let launch_tb sm tb_id =
         pc = 0;
         active = init_mask;
         exited = 0;
-        stack = [];
+        stk = Array.make (4 * frame_len) 0;
+        depth = 0;
         ready_at = sm.now;
         at_barrier = false;
         finished = false;
         pool_stamp = 0;
-        daws_hold = [];
+        ccws_slot = (match sm.ccws with Some c -> Ccws.acquire c | None -> -1);
       }
     in
     sm.next_age <- sm.next_age + 1;
@@ -366,6 +378,33 @@ let view_b sm warp op =
     load_operand sm warp op sm.x_opb;
     sm.x_vb <- sm.x_opb;
     0
+
+(* ---------------------------------------------------------------- *)
+(* Mask stack                                                        *)
+(* ---------------------------------------------------------------- *)
+
+(* base index of the top frame (negative when the stack is empty) *)
+let[@inline] top warp = (warp.depth - 1) * frame_len
+
+(* Under DAWS a loop frame is pushed only once the loop admitted the
+   warp, so this names the loop its memory samples and back-edge checks
+   belong to. *)
+let innermost_loop warp = if warp.depth = 0 then -1 else warp.stk.(top warp + o_loop)
+
+let push_frame warp ~kind ~outer ~pending_else ~loop_pc =
+  let b = warp.depth * frame_len in
+  if b + frame_len > Array.length warp.stk then begin
+    let bigger = Array.make ((2 * Array.length warp.stk) + frame_len) 0 in
+    Array.blit warp.stk 0 bigger 0 b;
+    warp.stk <- bigger
+  end;
+  let stk = warp.stk in
+  stk.(b + o_kind) <- kind;
+  stk.(b + o_outer) <- outer;
+  stk.(b + o_else) <- pending_else;
+  stk.(b + o_cont) <- 0;
+  stk.(b + o_loop) <- loop_pc;
+  warp.depth <- warp.depth + 1
 
 (* ---------------------------------------------------------------- *)
 (* Memory                                                            *)
@@ -469,7 +508,7 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
     else begin
       stats.Stats.l1_misses <- stats.Stats.l1_misses + 1;
       (match sm.ccws with
-      | Some c -> ignore (Ccws.on_miss c ~warp_id:warp.age ~line)
+      | Some c -> ignore (Ccws.on_miss c ~slot:warp.ccws_slot ~line)
       | None -> ());
       let miss_at = Cache.miss_issue sm.l1 ~now:issue in
       let ready = l2_arrival sm ~now:miss_at ~line in
@@ -557,9 +596,11 @@ let exec_global_load sm warp ~dst ~arr_id ~idx_reg =
       ~buf:sm.x_lines
   in
   Trace.record sm.job.trace ~sm:sm.id ~pc:warp.pc ~requests:nlines ~cycle:sm.now;
-  (match (sm.daws, warp.daws_hold) with
-  | Some d, loop_pc :: _ -> Daws.on_mem_instr d ~loop_pc ~requests:nlines
-  | _ -> ());
+  (match sm.daws with
+  | Some d ->
+    let loop_pc = innermost_loop warp in
+    if loop_pc >= 0 then Daws.on_mem_instr d ~loop_pc ~requests:nlines
+  | None -> ());
   sm.job.stats.Stats.global_load_instrs <-
     sm.job.stats.Stats.global_load_instrs + 1;
   let bypass = sm.job.bypass.(arr_id) in
@@ -602,9 +643,11 @@ let exec_global_store sm warp ~arr_id ~idx_reg ~src =
       ~buf:sm.x_lines
   in
   Trace.record sm.job.trace ~sm:sm.id ~pc:warp.pc ~requests:nlines ~cycle:sm.now;
-  (match (sm.daws, warp.daws_hold) with
-  | Some d, loop_pc :: _ -> Daws.on_mem_instr d ~loop_pc ~requests:nlines
-  | _ -> ());
+  (match sm.daws with
+  | Some d ->
+    let loop_pc = innermost_loop warp in
+    if loop_pc >= 0 then Daws.on_mem_instr d ~loop_pc ~requests:nlines
+  | None -> ());
   sm.job.stats.Stats.global_store_instrs <-
     sm.job.stats.Stats.global_store_instrs + 1;
   for i = 0 to nlines - 1 do
@@ -651,7 +694,7 @@ let retire_tb sm tb =
   | Some c ->
     for i = 0 to sm.n_warps - 1 do
       let w = sm.warps.(i) in
-      if w.tb == tb then Ccws.retire c ~warp_id:w.age
+      if w.tb == tb then Ccws.release c w.ccws_slot
     done
   | None -> ());
   (* stable compaction: survivors keep their age order *)
@@ -683,37 +726,35 @@ let exec_exit sm warp =
 (* ---------------------------------------------------------------- *)
 
 (* Ret: drop the retiring lanes from every pending rejoin point. *)
-let rec clear_retiring retiring = function
-  | [] -> ()
-  | frame :: rest ->
-    frame.pending_else <- frame.pending_else land lnot retiring;
-    frame.pending_cont <- frame.pending_cont land lnot retiring;
-    clear_retiring retiring rest
+let clear_retiring warp retiring =
+  let stk = warp.stk in
+  for d = 0 to warp.depth - 1 do
+    let b = d * frame_len in
+    stk.(b + o_else) <- stk.(b + o_else) land lnot retiring;
+    stk.(b + o_cont) <- stk.(b + o_cont) land lnot retiring
+  done
 
 (* Brk: remove the active lanes from every frame above (and excluding) the
    innermost loop frame; the loop frame's [outer] keeps them, so they
    resume after Loop_end. *)
-let rec clear_breaking breaking = function
-  | [] -> sim_error "break outside a loop"
-  | frame :: rest ->
-    if frame.kind = F_loop then ()
-    else begin
-      frame.outer <- frame.outer land lnot breaking;
-      frame.pending_else <- frame.pending_else land lnot breaking;
-      clear_breaking breaking rest
-    end
+let rec clear_breaking (stk : int array) breaking b =
+  if b < 0 then sim_error "break outside a loop"
+  else if stk.(b + o_kind) <> k_loop then begin
+    stk.(b + o_outer) <- stk.(b + o_outer) land lnot breaking;
+    stk.(b + o_else) <- stk.(b + o_else) land lnot breaking;
+    clear_breaking stk breaking (b - frame_len)
+  end
 
 (* Cont: park the active lanes in the innermost loop frame until Rejoin. *)
-let rec park_continuing continuing = function
-  | [] -> sim_error "continue outside a loop"
-  | frame :: rest ->
-    if frame.kind = F_loop then
-      frame.pending_cont <- frame.pending_cont lor continuing
-    else begin
-      frame.outer <- frame.outer land lnot continuing;
-      frame.pending_else <- frame.pending_else land lnot continuing;
-      park_continuing continuing rest
-    end
+let rec park_continuing (stk : int array) continuing b =
+  if b < 0 then sim_error "continue outside a loop"
+  else if stk.(b + o_kind) = k_loop then
+    stk.(b + o_cont) <- stk.(b + o_cont) lor continuing
+  else begin
+    stk.(b + o_outer) <- stk.(b + o_outer) land lnot continuing;
+    stk.(b + o_else) <- stk.(b + o_else) land lnot continuing;
+    park_continuing stk continuing (b - frame_len)
+  end
 
 let exec_instr sm warp =
   let cfg = sm.job.cfg in
@@ -928,22 +969,16 @@ let exec_instr sm warp =
           (if regs.(cbase + lane) <> 0. then opa.(abase + lane)
            else opb.(bbase + lane))
     done
-  | Bytecode.Call (name, dst, arg_regs) -> (
-    match Minicuda.Builtins.find name with
-    | None -> sim_error "call to unknown builtin %s" name
-    | Some { Minicuda.Builtins.apply; _ } ->
-      let arity = List.length arg_regs in
-      let args = Array.make arity 0. in
-      let dbase = dst * ws in
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then begin
-          List.iteri
-            (fun i reg -> args.(i) <- regs.((reg * ws) + lane))
-            arg_regs;
-          regs.(dbase + lane) <- apply args
-        end
-      done;
-      sm.x_ready <- sm.now + (2 * cfg.Config.alu_latency))
+  | Bytecode.Call (fn, dst, args) ->
+    (match args with
+    | [ a ] ->
+      Minicuda.Builtins.eval_lanes fn ~regs ~ws ~mask:active ~dst ~a ~b:a
+    | [ a; b ] ->
+      Minicuda.Builtins.eval_lanes fn ~regs ~ws ~mask:active ~dst ~a ~b
+    | _ ->
+      sim_error "call to %s with %d arguments"
+        (Minicuda.Builtins.name fn) (List.length args));
+    sm.x_ready <- sm.now + (2 * cfg.Config.alu_latency)
   | Bytecode.Ld (Bytecode.Global, dst, arr_id, idx_reg) ->
     if active <> 0 then sm.x_ready <- exec_global_load sm warp ~dst ~arr_id ~idx_reg
   | Bytecode.St (Bytecode.Global, arr_id, idx_reg, src) ->
@@ -991,40 +1026,33 @@ let exec_instr sm warp =
     done;
     let then_mask = sm.x_acc in
     let else_mask = active land lnot then_mask in
-    warp.stack <-
-      { kind = F_if; outer = active; pending_else = else_mask; pending_cont = 0 }
-      :: warp.stack;
+    push_frame warp ~kind:k_if ~outer:active ~pending_else:else_mask
+      ~loop_pc:(innermost_loop warp);
     warp.active <- then_mask;
     if then_mask = 0 then sm.x_next_pc <- skip;
     sm.x_ready <- sm.now + 1
-  | Bytecode.Else_mask skip -> (
-    match warp.stack with
-    | [] -> sim_error "else without matching push_if"
-    | frame :: _ ->
-      warp.active <- frame.pending_else;
-      frame.pending_else <- 0;
-      if warp.active = 0 then sm.x_next_pc <- skip;
-      sm.x_ready <- sm.now + 1)
-  | Bytecode.Pop_mask -> (
-    match warp.stack with
-    | [] -> sim_error "pop on empty mask stack"
-    | frame :: rest ->
-      warp.active <- frame.outer land lnot warp.exited;
-      warp.stack <- rest;
-      sm.x_ready <- sm.now + 1)
+  | Bytecode.Else_mask skip ->
+    if warp.depth = 0 then sim_error "else without matching push_if";
+    let b = top warp in
+    warp.active <- warp.stk.(b + o_else);
+    warp.stk.(b + o_else) <- 0;
+    if warp.active = 0 then sm.x_next_pc <- skip;
+    sm.x_ready <- sm.now + 1
+  | Bytecode.Pop_mask ->
+    if warp.depth = 0 then sim_error "pop on empty mask stack";
+    warp.active <- warp.stk.(top warp + o_outer) land lnot warp.exited;
+    warp.depth <- warp.depth - 1;
+    sm.x_ready <- sm.now + 1
   | Bytecode.Loop_begin -> (
     match sm.daws with
     | None ->
-      warp.stack <-
-        { kind = F_loop; outer = active; pending_else = 0; pending_cont = 0 }
-        :: warp.stack;
+      push_frame warp ~kind:k_loop ~outer:active ~pending_else:0
+        ~loop_pc:warp.pc;
       sm.x_ready <- sm.now + 1
     | Some d ->
       if Daws.try_enter d ~loop_pc:warp.pc ~age:warp.age then begin
-        warp.daws_hold <- warp.pc :: warp.daws_hold;
-        warp.stack <-
-          { kind = F_loop; outer = active; pending_else = 0; pending_cont = 0 }
-          :: warp.stack;
+        push_frame warp ~kind:k_loop ~outer:active ~pending_else:0
+          ~loop_pc:warp.pc;
         sm.x_ready <- sm.now + 1
       end
       else begin
@@ -1043,29 +1071,34 @@ let exec_instr sm warp =
     warp.active <- sm.x_acc;
     if sm.x_acc = 0 then sm.x_next_pc <- exit_pc;
     sm.x_ready <- sm.now + 1
-  | Bytecode.Jump target -> (
-    match (sm.daws, warp.daws_hold) with
-    | Some d, loop_pc :: _ when not (Daws.may_continue d ~loop_pc ~age:warp.age)
-      ->
+  | Bytecode.Jump target ->
+    let held =
+      match sm.daws with
+      | Some d ->
+        let loop_pc = innermost_loop warp in
+        loop_pc >= 0 && not (Daws.may_continue d ~loop_pc ~age:warp.age)
+      | None -> false
+    in
+    if held then begin
       (* descheduled at the back edge: the loop's learned divergence says
          too many warps are inside; retry when older warps have left *)
       sm.x_next_pc <- warp.pc;
       sm.x_ready <- sm.now + 16
-    | _ ->
+    end
+    else begin
       sm.x_next_pc <- target;
-      sm.x_ready <- sm.now + 1)
-  | Bytecode.Loop_end -> (
-    (match (sm.daws, warp.daws_hold) with
-    | Some d, loop_pc :: rest ->
-      Daws.on_loop_exit d ~loop_pc ~age:warp.age;
-      warp.daws_hold <- rest
-    | _ -> ());
-    match warp.stack with
-    | [] -> sim_error "loop_end on empty mask stack"
-    | frame :: rest ->
-      warp.active <- frame.outer land lnot warp.exited;
-      warp.stack <- rest;
-      sm.x_ready <- sm.now + 1)
+      sm.x_ready <- sm.now + 1
+    end
+  | Bytecode.Loop_end ->
+    (match sm.daws with
+    | Some d ->
+      let loop_pc = innermost_loop warp in
+      if loop_pc >= 0 then Daws.on_loop_exit d ~loop_pc ~age:warp.age
+    | None -> ());
+    if warp.depth = 0 then sim_error "loop_end on empty mask stack";
+    warp.active <- warp.stk.(top warp + o_outer) land lnot warp.exited;
+    warp.depth <- warp.depth - 1;
+    sm.x_ready <- sm.now + 1
   | Bytecode.Bar ->
     warp.at_barrier <- true;
     warp.tb.arrived <- warp.tb.arrived + 1;
@@ -1075,24 +1108,23 @@ let exec_instr sm warp =
     let retiring = active in
     warp.exited <- warp.exited lor retiring;
     warp.active <- 0;
-    clear_retiring retiring warp.stack;
+    clear_retiring warp retiring;
     sm.x_ready <- sm.now + 1
   | Bytecode.Brk ->
-    clear_breaking active warp.stack;
+    clear_breaking warp.stk active (top warp);
     warp.active <- 0;
     sm.x_ready <- sm.now + 1
   | Bytecode.Cont ->
-    park_continuing active warp.stack;
+    park_continuing warp.stk active (top warp);
     warp.active <- 0;
     sm.x_ready <- sm.now + 1
-  | Bytecode.Rejoin -> (
-    match warp.stack with
-    | frame :: _ when frame.kind = F_loop ->
-      warp.active <-
-        (warp.active lor frame.pending_cont) land lnot warp.exited;
-      frame.pending_cont <- 0;
-      sm.x_ready <- sm.now + 1
-    | _ -> sim_error "rejoin without an innermost loop frame")
+  | Bytecode.Rejoin ->
+    let b = top warp in
+    if b < 0 || warp.stk.(b + o_kind) <> k_loop then
+      sim_error "rejoin without an innermost loop frame";
+    warp.active <- (warp.active lor warp.stk.(b + o_cont)) land lnot warp.exited;
+    warp.stk.(b + o_cont) <- 0;
+    sm.x_ready <- sm.now + 1
   | Bytecode.Exit -> exec_exit sm warp);
   if not warp.finished then begin
     warp.pc <- sm.x_next_pc;
@@ -1157,17 +1189,21 @@ let fill_pool sm =
       done
     end
   | None, Some ccws, _, _ ->
-    (* list-shaped on purpose: Ccws.allowed ranks scores over a list; this
-       path only runs under the CCWS ablation *)
-    let ages = ref [] in
-    for i = sm.n_warps - 1 downto 0 do
-      let w = sm.warps.(i) in
-      if not w.finished then ages := w.age :: !ages
-    done;
-    let ids = Ccws.allowed ccws !ages in
+    (* rank the live warps, pushed oldest first so equal scores keep age
+       order; each admitted warp is marked with this fill's pool stamp
+       (no warp carries the fresh generation yet), then the pool is
+       filled in age order *)
+    Ccws.rank_clear ccws;
     for i = 0 to sm.n_warps - 1 do
       let w = sm.warps.(i) in
-      if List.mem w.age ids || draining w.tb then pool_add sm w
+      if not w.finished then Ccws.rank_push ccws ~slot:w.ccws_slot ~id:i
+    done;
+    for j = 0 to Ccws.rank ccws - 1 do
+      sm.warps.(Ccws.ranked ccws j).pool_stamp <- sm.pool_gen
+    done;
+    for i = 0 to sm.n_warps - 1 do
+      let w = sm.warps.(i) in
+      if w.pool_stamp = sm.pool_gen || draining w.tb then pool_add sm w
     done
   | None, None, Some dyn, _ ->
     let cap = Dynamic_throttle.cap dyn in

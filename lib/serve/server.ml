@@ -647,8 +647,16 @@ let take_line r =
     Some line
   end
 
+(** The longest request line a connection may send.  Past it, with no
+    newline in sight, the line is answered [bad_request] and the
+    connection closed: a client that never sends [\n] cannot grow the
+    daemon's memory without bound. *)
+let max_line_bytes = 1 lsl 20
+
 (* make room to read: compact the consumed prefix away, or — only when a
-   single line overflows the whole buffer — double it *)
+   single line overflows the whole buffer — double it, never past
+   [max_line_bytes + 1] (one byte more than the longest line, so an
+   overlong line is seen whole before it is refused) *)
 let make_room r =
   if r.len = Bytes.length r.buf then
     if r.pos > 0 then begin
@@ -658,7 +666,9 @@ let make_room r =
       r.pos <- 0
     end
     else begin
-      let bigger = Bytes.create (2 * Bytes.length r.buf) in
+      let bigger =
+        Bytes.create (min (2 * Bytes.length r.buf) (max_line_bytes + 1))
+      in
       Bytes.blit r.buf 0 bigger 0 r.len;
       r.buf <- bigger
     end
@@ -669,7 +679,8 @@ let rec next_line r ~stop =
     match take_line r with
     | Some l -> `Line l
     | None ->
-      if r.eof then
+      if r.len - r.pos > max_line_bytes then `Too_long
+      else if r.eof then
         if r.len > r.pos then begin
           (* unterminated final line *)
           let l = Bytes.sub_string r.buf r.pos (r.len - r.pos) in
@@ -736,6 +747,18 @@ let serve_fd t ~in_fd ~out_fd ~stop =
   let rec loop () =
     match next_line r ~stop with
     | `Stopped | `Eof -> ()
+    | `Too_long ->
+      (* refuse and stop reading: returning closes a socket connection *)
+      respond
+        {
+          Protocol.resp_id = "";
+          resp_tenant = Protocol.default_tenant;
+          result =
+            Error
+              ( Protocol.Bad_request,
+                Printf.sprintf "request line longer than %d bytes"
+                  max_line_bytes );
+        }
     | `Line line ->
       (if String.trim line <> "" then
          match Protocol.request_of_line line with

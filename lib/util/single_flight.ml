@@ -9,6 +9,7 @@ type 'v entry = {
   e_done : Condition.t;
   e_tag : string;  (** leader-supplied tag (e.g. its trace id) *)
   mutable e_outcome : 'v outcome option;  (** [None] while the leader runs *)
+  mutable e_joined : int;  (** followers attached so far; under [t.lock] *)
 }
 
 type 'v t = {
@@ -21,6 +22,14 @@ let create () = { lock = Mutex.create (); tbl = Hashtbl.create 16 }
 let in_flight t =
   Mutex.lock t.lock;
   let n = Hashtbl.length t.tbl in
+  Mutex.unlock t.lock;
+  n
+
+let joined t key =
+  Mutex.lock t.lock;
+  let n =
+    match Hashtbl.find_opt t.tbl key with Some e -> e.e_joined | None -> 0
+  in
   Mutex.unlock t.lock;
   n
 
@@ -45,6 +54,7 @@ let run_tagged t key ~tag f =
   | Some e ->
     (* follower: the leader is computing; wait for its publication.  The
        entry reference stays valid after removal from the table. *)
+    e.e_joined <- e.e_joined + 1;
     Mutex.unlock t.lock;
     (match await e with
     | Value v -> `Joined (e.e_tag, v)
@@ -56,6 +66,7 @@ let run_tagged t key ~tag f =
         e_done = Condition.create ();
         e_tag = tag;
         e_outcome = None;
+        e_joined = 0;
       }
     in
     Hashtbl.add t.tbl key e;

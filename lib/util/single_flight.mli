@@ -49,3 +49,8 @@ val run_tagged :
 (** Number of flights currently in progress (leaders that have not yet
     published).  [0] when the system is quiescent — the no-leak check. *)
 val in_flight : 'v t -> int
+
+(** Followers that have joined the flight now in progress for [key] ([0]
+    when there is none) — lets a test hold a flight open until a known
+    number of callers wait on it. *)
+val joined : 'v t -> string -> int

@@ -51,6 +51,15 @@ __global__ void reuse_kernel(float *data, float *out) {
 |}
     span warps reps warp_size
 
+(* [Array.init] with a float-valued function boxes every element on the
+   way in; filling a [Array.make] float array stores them unboxed *)
+let pattern len ~mask =
+  let a = Array.make len 0. in
+  for i = 0 to len - 1 do
+    a.(i) <- float_of_int (i land mask)
+  done;
+  a
+
 let run_reuse ?(throttle = `None) (cfg : Gpusim.Config.t) p =
   if p.warps < 1 || p.warps * cfg.Gpusim.Config.warp_size > 1024 then
     invalid_arg "Fixtures.run_reuse: warps out of range";
@@ -61,7 +70,7 @@ let run_reuse ?(throttle = `None) (cfg : Gpusim.Config.t) p =
   let dev = Gpusim.Gpu.create cfg in
   let data_len = num_sms * p.warps * ws * p.span in
   Gpusim.Gpu.upload dev "data"
-    (Array.init data_len (fun i -> float_of_int (i land 15)));
+    (pattern data_len ~mask:15);
   Gpusim.Gpu.alloc dev "out" (num_sms * p.warps * ws);
   let launch =
     Gpusim.Gpu.default_launch ~runtime_throttle:throttle ~prog
@@ -121,9 +130,9 @@ let run_interference ?(throttle = `None) (cfg : Gpusim.Config.t) p =
   let hot_len = num_sms * ws * p.hot_span in
   let stream_len = num_sms * p.streamers * ws * p.stream_span in
   Gpusim.Gpu.upload dev "hot"
-    (Array.init hot_len (fun i -> float_of_int (i land 7)));
+    (pattern hot_len ~mask:7);
   Gpusim.Gpu.upload dev "stream"
-    (Array.init stream_len (fun i -> float_of_int (i land 3)));
+    (pattern stream_len ~mask:3);
   Gpusim.Gpu.alloc dev "out" (num_sms * warps * ws);
   let launch =
     Gpusim.Gpu.default_launch ~runtime_throttle:throttle ~prog

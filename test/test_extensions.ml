@@ -76,35 +76,222 @@ let test_dynamic_scheme_verifies () =
 
 (* ----------------------------- CCWS -------------------------------- *)
 
+(* The list-based CCWS as it stood before dense slots: state in a
+   Hashtbl keyed by warp id, a boxed (id, score) list sorted on every
+   ranking.  Kept verbatim as the oracle for {!Gpusim.Ccws}'s in-place
+   rank. *)
+module Ccws_reference = struct
+  type warp_state = { mutable score : float; vta : int array }
+
+  type t = {
+    vta_entries : int;
+    base_score : float;
+    gain : float;
+    decay : float;
+    cutoff : float;
+    warps : (int, warp_state) Hashtbl.t;
+  }
+
+  let create ?(vta_entries = 16) ?(gain = 32.) ?(decay = 0.999) ~max_warps () =
+    let base_score = 1. in
+    {
+      vta_entries;
+      base_score;
+      gain;
+      decay;
+      cutoff = base_score *. float_of_int max_warps;
+      warps = Hashtbl.create 64;
+    }
+
+  let state t warp_id =
+    match Hashtbl.find_opt t.warps warp_id with
+    | Some s -> s
+    | None ->
+      let s = { score = t.base_score; vta = Array.make t.vta_entries (-1) } in
+      Hashtbl.replace t.warps warp_id s;
+      s
+
+  let on_miss t ~warp_id ~line =
+    let s = state t warp_id in
+    let slot = (line mod t.vta_entries + t.vta_entries) mod t.vta_entries in
+    let lost = s.vta.(slot) = line in
+    if lost then s.score <- s.score +. t.gain;
+    s.vta.(slot) <- line;
+    lost
+
+  let tick t =
+    Hashtbl.iter
+      (fun _ s ->
+        if s.score > t.base_score then
+          s.score <- max t.base_score (s.score *. t.decay))
+      t.warps
+
+  let score t ~warp_id = (state t warp_id).score
+
+  let allowed t warp_ids =
+    let scored = List.map (fun id -> (id, (state t id).score)) warp_ids in
+    let sorted = List.sort (fun (_, a) (_, b) -> compare b a) scored in
+    let rec admit acc height = function
+      | [] -> acc
+      | (id, s) :: rest ->
+        if acc = [] || height +. s <= t.cutoff then
+          admit (id :: acc) (height +. s) rest
+        else acc
+    in
+    admit [] 0. sorted
+
+  let retire t ~warp_id = Hashtbl.remove t.warps warp_id
+end
+
+(* one ranking through the slot API: candidates are named by their
+   position in [slots]; the result is those positions in rank order *)
+let ccws_allowed c slots =
+  Gpusim.Ccws.rank_clear c;
+  List.iteri (fun id slot -> Gpusim.Ccws.rank_push c ~slot ~id) slots;
+  List.init (Gpusim.Ccws.rank c) (Gpusim.Ccws.ranked c)
+
 let test_ccws_scoring () =
   let c = Gpusim.Ccws.create ~vta_entries:8 ~max_warps:8 () in
+  let w0 = Gpusim.Ccws.acquire c in
+  let w1 = Gpusim.Ccws.acquire c in
+  Alcotest.(check bool) "distinct slots" true (w0 <> w1);
   (* first miss on a line: tag installed, no loss *)
-  Alcotest.(check bool) "cold miss" false (Gpusim.Ccws.on_miss c ~warp_id:0 ~line:100);
+  Alcotest.(check bool) "cold miss" false (Gpusim.Ccws.on_miss c ~slot:w0 ~line:100);
   (* re-missing the same line: the warp lost locality *)
-  Alcotest.(check bool) "re-miss detected" true (Gpusim.Ccws.on_miss c ~warp_id:0 ~line:100);
-  Alcotest.(check bool) "score grew" true (Gpusim.Ccws.score c ~warp_id:0 > 1.);
+  Alcotest.(check bool) "re-miss detected" true (Gpusim.Ccws.on_miss c ~slot:w0 ~line:100);
+  Alcotest.(check bool) "score grew" true (Gpusim.Ccws.score c ~slot:w0 > 1.);
   (* another warp's VTA is independent *)
-  Alcotest.(check bool) "per-warp VTA" false (Gpusim.Ccws.on_miss c ~warp_id:1 ~line:100)
+  Alcotest.(check bool) "per-warp VTA" false (Gpusim.Ccws.on_miss c ~slot:w1 ~line:100);
+  (* a released slot comes back clean for its next warp *)
+  Gpusim.Ccws.release c w0;
+  let w2 = Gpusim.Ccws.acquire c in
+  Alcotest.(check (float 0.)) "fresh score" 1. (Gpusim.Ccws.score c ~slot:w2);
+  Alcotest.(check bool) "fresh VTA" false (Gpusim.Ccws.on_miss c ~slot:w2 ~line:100)
 
 let test_ccws_allowed_shrinks () =
   let c = Gpusim.Ccws.create ~vta_entries:8 ~gain:32. ~max_warps:4 () in
-  let ids = [ 0; 1; 2; 3 ] in
-  Alcotest.(check int) "all allowed initially" 4
-    (List.length (Gpusim.Ccws.allowed c ids));
+  let slots = List.init 4 (fun _ -> Gpusim.Ccws.acquire c) in
+  Alcotest.(check (list int)) "all allowed initially, in age order"
+    [ 0; 1; 2; 3 ] (ccws_allowed c slots);
   (* warp 2 loses locality hard: its score alone exceeds the cutoff *)
-  ignore (Gpusim.Ccws.on_miss c ~warp_id:2 ~line:7);
-  ignore (Gpusim.Ccws.on_miss c ~warp_id:2 ~line:7);
-  let allowed = Gpusim.Ccws.allowed c ids in
+  ignore (Gpusim.Ccws.on_miss c ~slot:(List.nth slots 2) ~line:7);
+  ignore (Gpusim.Ccws.on_miss c ~slot:(List.nth slots 2) ~line:7);
+  let allowed = ccws_allowed c slots in
   Alcotest.(check bool) "fewer warps" true (List.length allowed < 4);
-  Alcotest.(check bool) "thrasher keeps priority" true (List.mem 2 allowed)
+  Alcotest.(check bool) "thrasher keeps priority" true (List.mem 2 allowed);
+  Alcotest.(check int) "thrasher ranks first" 2 (List.hd allowed)
 
 let test_ccws_decay_recovers () =
   let c = Gpusim.Ccws.create ~vta_entries:8 ~gain:32. ~decay:0.5 ~max_warps:4 () in
-  ignore (Gpusim.Ccws.on_miss c ~warp_id:0 ~line:1);
-  ignore (Gpusim.Ccws.on_miss c ~warp_id:0 ~line:1);
+  let slots = List.init 4 (fun _ -> Gpusim.Ccws.acquire c) in
+  ignore (Gpusim.Ccws.on_miss c ~slot:(List.hd slots) ~line:1);
+  ignore (Gpusim.Ccws.on_miss c ~slot:(List.hd slots) ~line:1);
+  Alcotest.(check bool) "throttled after the loss" true
+    (List.length (ccws_allowed c slots) < 4);
   for _ = 1 to 30 do Gpusim.Ccws.tick c done;
   Alcotest.(check int) "all allowed after decay" 4
-    (List.length (Gpusim.Ccws.allowed c [ 0; 1; 2; 3 ]))
+    (List.length (ccws_allowed c slots))
+
+(* Random histories: warps launch (taking a slot), miss on lines drawn
+   from a small range (so VTA re-misses happen), tick, and retire;
+   every [Rank] offers a random subset of the live warps, oldest first.
+   The slot implementation must admit exactly the reference's warps in
+   the reference's rank order, and keep bit-identical scores. *)
+type ccws_op = Launch | Miss of int * int | Ticks of int | Retire of int | Rank of int
+
+let ccws_op_to_string = function
+  | Launch -> "launch"
+  | Miss (k, l) -> Printf.sprintf "miss(%d,%d)" k l
+  | Ticks n -> Printf.sprintf "tick*%d" n
+  | Retire k -> Printf.sprintf "retire(%d)" k
+  | Rank seed -> Printf.sprintf "rank(%d)" seed
+
+let ccws_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (2, return Launch);
+        (8, map2 (fun k l -> Miss (k, l)) (int_bound 63) (int_bound 40));
+        (3, map (fun n -> Ticks n) (int_range 1 40));
+        (1, map (fun k -> Retire k) (int_bound 63));
+        (3, map (fun s -> Rank s) (int_bound 1_000_000));
+      ]
+  in
+  let params =
+    quad (int_range 1 64) (int_range 1 16)
+      (oneofl [ 1.; 4.; 32. ])
+      (oneofl [ 0.5; 0.9; 0.999 ])
+  in
+  QCheck.make
+    ~print:(fun ((mw, ve, g, d), launched, ops) ->
+      Printf.sprintf "max_warps=%d vta=%d gain=%g decay=%g launched=%d ops=[%s]"
+        mw ve g d launched
+        (String.concat "; " (List.map ccws_op_to_string ops)))
+    (triple params (int_range 1 64) (list_size (int_range 1 400) op))
+
+let prop_ccws_rank_matches_reference =
+  QCheck.Test.make ~name:"CCWS in-place rank = list-based reference" ~count:300
+    ccws_case
+    (fun ((max_warps, vta_entries, gain, decay), launched, ops) ->
+      let c = Gpusim.Ccws.create ~vta_entries ~gain ~decay ~max_warps () in
+      let r = Ccws_reference.create ~vta_entries ~gain ~decay ~max_warps () in
+      (* live warps, oldest first: (warp id, slot) *)
+      let live = ref [] and next_id = ref 0 in
+      let launch () =
+        if List.length !live < max_warps then begin
+          live := !live @ [ (!next_id, Gpusim.Ccws.acquire c) ];
+          incr next_id
+        end
+      in
+      for _ = 1 to launched do launch () done;
+      let nth k = List.nth !live (k mod List.length !live) in
+      let step = function
+        | Launch -> launch ()
+        | Miss (k, line) ->
+          if !live <> [] then begin
+            let id, slot = nth k in
+            let got = Gpusim.Ccws.on_miss c ~slot ~line in
+            let want = Ccws_reference.on_miss r ~warp_id:id ~line in
+            if got <> want then
+              QCheck.Test.fail_reportf "warp %d line %d: loss %b, reference %b"
+                id line got want
+          end
+        | Ticks n ->
+          for _ = 1 to n do
+            Gpusim.Ccws.tick c;
+            Ccws_reference.tick r
+          done
+        | Retire k ->
+          if !live <> [] then begin
+            let id, slot = nth k in
+            Gpusim.Ccws.release c slot;
+            Ccws_reference.retire r ~warp_id:id;
+            live := List.filter (fun (i, _) -> i <> id) !live
+          end
+        | Rank seed ->
+          let rng = Random.State.make [| seed |] in
+          let offered = List.filter (fun _ -> Random.State.bool rng) !live in
+          let ids = Array.of_list (List.map fst offered) in
+          let got =
+            List.map (fun pos -> ids.(pos))
+              (ccws_allowed c (List.map snd offered))
+          in
+          let want = List.rev (Ccws_reference.allowed r (Array.to_list ids)) in
+          if got <> want then
+            QCheck.Test.fail_reportf "rank [%s], reference [%s]"
+              (String.concat ";" (List.map string_of_int got))
+              (String.concat ";" (List.map string_of_int want));
+          List.iter
+            (fun (id, slot) ->
+              let a = Gpusim.Ccws.score c ~slot
+              and b = Ccws_reference.score r ~warp_id:id in
+              if Int64.bits_of_float a <> Int64.bits_of_float b then
+                QCheck.Test.fail_reportf "warp %d score %h, reference %h" id a b)
+            offered
+      in
+      List.iter step ops;
+      true)
 
 let test_ccws_launch_correct () =
   let base_stats, base_tmp = simulate kernel in
@@ -365,6 +552,7 @@ let tests =
         Alcotest.test_case "VTA scoring" `Quick test_ccws_scoring;
         Alcotest.test_case "allowed set shrinks" `Quick test_ccws_allowed_shrinks;
         Alcotest.test_case "decay recovers" `Quick test_ccws_decay_recovers;
+        QCheck_alcotest.to_alcotest prop_ccws_rank_matches_reference;
         Alcotest.test_case "launch correctness" `Quick test_ccws_launch_correct;
         Alcotest.test_case "scheme verifies" `Quick test_ccws_scheme_verifies;
       ] );

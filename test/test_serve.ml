@@ -615,6 +615,53 @@ let test_serve_fd_pipe () =
   | Some { Protocol.result = Error (Protocol.Bad_request, _); _ } -> ()
   | _ -> Alcotest.fail "garbage line must yield a bad_request envelope"
 
+(* A client that sends one byte more than the line cap without a
+   newline gets a bad_request and the connection closed: the request
+   after it is never read, although its bytes are on the pipe before
+   EOF (an uncapped reader would answer both and return only at EOF). *)
+let test_serve_fd_line_cap () =
+  let srv = Server.create ~cfg:small_cfg ~jobs:1 ~queue_cap:4 () in
+  let in_r, in_w = Unix.pipe () in
+  let out_r, out_w = Unix.pipe () in
+  let writer =
+    Thread.create
+      (fun () ->
+        let b =
+          Bytes.of_string
+            (String.make (Server.max_line_bytes + 1) 'x'
+            ^ "\n"
+            ^ {|{"schema_version":1,"id":"after","tenant":"cap","kind":"stats"}|}
+            ^ "\n")
+        in
+        (* the server stops reading at the cap; the few bytes after it
+           fit in the pipe, so this never blocks *)
+        let pos = ref 0 in
+        while !pos < Bytes.length b do
+          pos := !pos + Unix.write in_w b !pos (Bytes.length b - !pos)
+        done;
+        Unix.close in_w)
+      ()
+  in
+  Server.serve_fd srv ~in_fd:in_r ~out_fd:out_w ~stop:(fun () -> false);
+  Thread.join writer;
+  Unix.close in_r;
+  Server.shutdown srv;
+  Unix.close out_w;
+  let responses = read_lines out_r 2 in
+  Unix.close out_r;
+  match responses with
+  | [ line ] -> (
+    match Result.bind (Json.of_string line) Protocol.response_of_json with
+    | Ok { Protocol.result = Error (Protocol.Bad_request, msg); _ } ->
+      Alcotest.(check string) "names the cap"
+        (Printf.sprintf "request line longer than %d bytes"
+           Server.max_line_bytes)
+        msg
+    | _ -> Alcotest.failf "expected a bad_request, got %s" line)
+  | l ->
+    Alcotest.failf "expected one response before the close, got %d"
+      (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* Socket: two interleaved clients                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1062,6 +1109,60 @@ let test_coalesced_identical_requests () =
          (Cache.path ~tenant cfg ~workload:"ATAX"
             ~scheme:(Scheme.label Scheme.Baseline) ~seed:Runner.seed))
   done
+
+(* Joiners of a flight whose leader read the entry from disk: the test
+   itself leads the cell's flight (as a disk hit would) and publishes only
+   once every joiner is attached, so the joins are certain, not a race.
+   Joiners of the leader's own tenant find the entry already in their
+   shard and write nothing; a joiner of another tenant still gets its
+   shard entry. *)
+let test_joiner_restore_skipped () =
+  with_temp_cache "joiners" @@ fun () ->
+  let cfg = Gpusim.Config.scaled ~num_sms:2 ~onchip_bytes:(16 * 1024) () in
+  let w = Workloads.Registry.find "ATAX" in
+  let req tenant = Runner.Request.make ~tenant cfg w Scheme.Baseline in
+  let run =
+    match Runner.exec_with_source (req "home") with
+    | Ok (r, _) -> r
+    | Error msg -> Alcotest.failf "seed run failed: %s" msg
+  in
+  Runner.clear_memo ();
+  let stores0 = (Cache.stats ()).Cache.stores in
+  let key = Runner.memo_key cfg w Scheme.Baseline in
+  let tenants = [| "home"; "home"; "away" |] in
+  let got = Array.make (Array.length tenants) None in
+  let threads = ref [] in
+  let lead =
+    Gpu_util.Single_flight.run_tagged Runner.cell_flights key ~tag:""
+      (fun () ->
+        threads :=
+          List.init (Array.length tenants) (fun i ->
+              Thread.create
+                (fun () -> got.(i) <- Some (Runner.exec_with_source (req tenants.(i))))
+                ());
+        while
+          Gpu_util.Single_flight.joined Runner.cell_flights key
+          < Array.length tenants
+        do
+          Thread.yield ()
+        done;
+        Ok (run, Runner.Disk))
+  in
+  List.iter Thread.join !threads;
+  Alcotest.(check bool) "test led the flight" true
+    (match lead with `Led _ -> true | `Joined _ -> false);
+  Array.iteri
+    (fun i g ->
+      match g with
+      | Some (Ok (_, Runner.Coalesced)) -> ()
+      | _ -> Alcotest.failf "joiner %d (%s) was not coalesced" i tenants.(i))
+    got;
+  Alcotest.(check int) "only the other tenant's shard written" 1
+    ((Cache.stats ()).Cache.stores - stores0);
+  Alcotest.(check bool) "other tenant has its shard entry" true
+    (Sys.file_exists
+       (Cache.path ~tenant:"away" cfg ~workload:"ATAX"
+          ~scheme:(Scheme.label Scheme.Baseline) ~seed:Runner.seed))
 
 (* ------------------------------------------------------------------ *)
 (* Per-tenant quotas                                                   *)
@@ -1659,10 +1760,14 @@ let tests =
           test_latency_histogram_bounded;
         Alcotest.test_case "200-request mixed soak" `Slow test_soak_mixed_200;
         Alcotest.test_case "json-lines over a pipe" `Quick test_serve_fd_pipe;
+        Alcotest.test_case "overlong line refused and closed" `Quick
+          test_serve_fd_line_cap;
         Alcotest.test_case "two socket clients served concurrently" `Quick
           test_socket_two_clients;
         Alcotest.test_case "concurrent identical requests coalesce" `Quick
           test_coalesced_identical_requests;
+        Alcotest.test_case "joiners skip a shard that holds the entry" `Quick
+          test_joiner_restore_skipped;
         Alcotest.test_case "per-tenant quota refuses deterministically" `Quick
           test_tenant_quota_refusal;
         Alcotest.test_case "EOF drains per connection, not globally" `Quick
