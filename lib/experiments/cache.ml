@@ -42,6 +42,10 @@ let m_evictions = Obs.Metrics.counter "cache.evictions"
 
 let note_evicted () = Obs.Metrics.incr m_evictions
 
+let m_store_errors = Obs.Metrics.counter "cache.store_errors"
+(** Stores that failed (a full disk, a directory in the entry's way):
+    nothing is published and the cell is simply not cached. *)
+
 type stats = { hits : int; misses : int; stores : int; evictions : int }
 
 let stats () =
@@ -201,22 +205,32 @@ let load ?tenant cfg ~workload ~scheme ~seed =
 let mem ?tenant cfg ~workload ~scheme ~seed =
   !enabled && Sys.file_exists (path ?tenant cfg ~workload ~scheme ~seed)
 
+(** Best effort: the caller's result is already computed, so a failed
+    write is counted in [cache.store_errors] instead of raised.  The
+    final flush runs inside the protected region, so a short write never
+    reaches the rename and is never published; the temp file is removed
+    on any failure. *)
 let store ?tenant cfg ~workload ~scheme ~seed json =
   if !enabled then begin
-    Obs.Metrics.incr m_stores;
     let file = path ?tenant cfg ~workload ~scheme ~seed in
-    mkdir_p (Filename.dirname file);
     let tmp =
       Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
         (Domain.self () :> int)
     in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc (Json.to_string ~pretty:true json);
-        output_char oc '\n');
-    Sys.rename tmp file
+    try
+      mkdir_p (Filename.dirname file);
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc (Json.to_string ~pretty:true json);
+          output_char oc '\n';
+          close_out oc);
+      Sys.rename tmp file;
+      Obs.Metrics.incr m_stores
+    with Sys_error _ | Unix.Unix_error _ ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Obs.Metrics.incr m_store_errors
   end
 
 let clear () =

@@ -71,17 +71,13 @@ type t = {
   last_use : int array;  (* LRU stamps *)
   mutable tick : int;
   inflight : Heap.t;
-  ata_ways : int;  (* tag-only shadow ways per set; 0 = plain cache *)
-  ata_tags : int array;  (* set-major shadow tags, -1 = invalid *)
-  ata_stamp : int array;  (* shadow recency stamps *)
 }
 
 type outcome = Hit | Pending_hit | Miss
 
-let create ?(ata_ways = 0) ~bytes ~assoc ~line_bytes ~mshrs () =
+let create ~bytes ~assoc ~line_bytes ~mshrs () =
   if assoc <= 0 then invalid_arg "Cache.create: assoc must be positive";
   if line_bytes <= 0 then invalid_arg "Cache.create: line_bytes must be positive";
-  if ata_ways < 0 then invalid_arg "Cache.create: ata_ways must be >= 0";
   let num_sets = max 1 (bytes / (assoc * line_bytes)) in
   let ways = num_sets * assoc in
   let sets_shift =
@@ -101,9 +97,6 @@ let create ?(ata_ways = 0) ~bytes ~assoc ~line_bytes ~mshrs () =
     last_use = Array.make ways 0;
     tick = 0;
     inflight = Heap.create ();
-    ata_ways;
-    ata_tags = Array.make (num_sets * ata_ways) (-1);
-    ata_stamp = Array.make (num_sets * ata_ways) 0;
   }
 
 let sets t = t.num_sets
@@ -134,9 +127,6 @@ let rec scan_ways (tags : int array) line base n i =
   if i = n then -1
   else if tags.(base + i) = line then base + i
   else scan_ways tags line base n (i + 1)
-
-let rec has_invalid (tags : int array) base n i =
-  i < n && (tags.(base + i) = -1 || has_invalid tags base n (i + 1))
 
 let find_way t line = scan_ways t.tags line (set_of t line * t.assoc) t.assoc 0
 
@@ -227,63 +217,6 @@ let write_update t ~now ~line =
 
 let contains t ~line = find_way t line >= 0
 
-(* --- Aggregated tag array (ATA-Cache) --------------------------------- *)
-(* A few tag-only shadow ways per set remember recently evicted (or
-   never-admitted) lines.  A missing line earns data storage only on
-   proven reuse: the first conflict miss records its tag in the shadow
-   array and is served straight from L2 without displacing anything; a
-   later miss that finds its tag shadowed promotes the line into a data
-   way.  Cold fills into invalid ways are unchanged, so a working set
-   that fits the cache behaves exactly like the plain cache. *)
-
-let ata_ways t = t.ata_ways
-
-let ata_find t line =
-  if t.ata_ways = 0 || line < 0 then -1
-  else scan_ways t.ata_tags line (set_of t line * t.ata_ways) t.ata_ways 0
-
-let ata_resident t ~line = ata_find t line >= 0
-
-let ata_note t ~line =
-  if t.ata_ways > 0 && line >= 0 && ata_find t line < 0 then begin
-    let base = set_of t line * t.ata_ways in
-    let victim = ref base in
-    (* an invalid shadow way if there is one, else the oldest stamp *)
-    (try
-       for i = 0 to t.ata_ways - 1 do
-         let slot = base + i in
-         if t.ata_tags.(slot) = -1 then begin
-           victim := slot;
-           raise Exit
-         end
-         else if t.ata_stamp.(slot) < t.ata_stamp.(!victim) then victim := slot
-       done
-     with Exit -> ());
-    t.tick <- t.tick + 1;
-    t.ata_tags.(!victim) <- line;
-    t.ata_stamp.(!victim) <- t.tick
-  end
-
-type ata_decision = Ata_fill | Ata_promote | Ata_defer
-
-let ata_admit t ~line =
-  if t.ata_ways = 0 then Ata_fill
-  else begin
-    let slot = ata_find t line in
-    if slot >= 0 then begin
-      (* proven reuse: the shadow entry converts into a data fill *)
-      t.ata_tags.(slot) <- -1;
-      Ata_promote
-    end
-    else begin
-      if has_invalid t.tags (set_of t line * t.assoc) t.assoc 0 then Ata_fill
-      else begin
-        ata_note t ~line;
-        Ata_defer
-      end
-    end
-  end
-
 let note_inflight t ~ready = Heap.push t.inflight ready
 
 let settle t =
@@ -298,6 +231,4 @@ let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.data_ready 0 (Array.length t.data_ready) 0;
   Array.fill t.last_use 0 (Array.length t.last_use) 0;
-  Array.fill t.ata_tags 0 (Array.length t.ata_tags) (-1);
-  Array.fill t.ata_stamp 0 (Array.length t.ata_stamp) 0;
   Heap.clear t.inflight

@@ -12,13 +12,9 @@ type t
 
 type outcome = Hit | Pending_hit | Miss
 
-val create :
-  ?ata_ways:int -> bytes:int -> assoc:int -> line_bytes:int -> mshrs:int ->
-  unit -> t
+val create : bytes:int -> assoc:int -> line_bytes:int -> mshrs:int -> unit -> t
 (** [bytes] is rounded down to a whole number of sets; there is always at
-    least one set.  [ata_ways] (default 0) adds that many tag-only shadow
-    ways per set — the aggregated tag array of the ATA-Cache scheme; see
-    {!ata_admit}. *)
+    least one set. *)
 
 val sets : t -> int
 val lines : t -> int
@@ -65,7 +61,8 @@ val miss_issue : t -> now:int -> int
 
 val evict_victim : t -> line:int -> int
 (** The tag {!fill} on [line] would displace, [-1] when an invalid way
-    will absorb it (profiling hook; read-only). *)
+    will absorb it (read-only: victim attribution for the runtime
+    policies and the profiler). *)
 
 val fill : t -> line:int -> ready:int -> unit
 (** Install [line] over the victim way with its data arriving at [ready]
@@ -90,40 +87,10 @@ val write_update : t -> now:int -> line:int -> bool
 val contains : t -> line:int -> bool
 (** Tag probe without side effects (testing). *)
 
-(** {2 Aggregated tag array (ATA-Cache)}
-
-    With [ata_ways > 0] the cache carries a few tag-only shadow ways per
-    set.  On a data miss the caller asks {!ata_admit} whether the line has
-    earned data storage: cold fills into invalid ways proceed as in the
-    plain cache; a first conflict miss only records its tag in the shadow
-    array ([Ata_defer] — serve from the next level, fill nothing); a miss
-    whose tag is already shadowed is promoted ([Ata_promote] — fill as
-    usual, and feed the displaced victim back via {!ata_note}).  With
-    [ata_ways = 0] the verdict is always [Ata_fill], so the plain cache's
-    behaviour is bit-identical. *)
-
-val ata_ways : t -> int
-(** Shadow ways per set as configured; [0] means the plain cache. *)
-
-type ata_decision =
-  | Ata_fill  (** an invalid way absorbs the line: fill as usual *)
-  | Ata_promote  (** shadow tag hit — proven reuse: fill as usual *)
-  | Ata_defer  (** first conflict touch: tag shadowed, do not fill *)
-
-val ata_admit : t -> line:int -> ata_decision
-(** Decide (and record) whether a missing [line] may displace data.
-    [Ata_promote] consumes the shadow entry; [Ata_defer] installs one. *)
-
-val ata_note : t -> line:int -> unit
-(** Record an evicted line's tag in the shadow array (oldest-stamp
-    replacement).  No-op when [ata_ways = 0] or the tag is shadowed. *)
-
-val ata_resident : t -> line:int -> bool
-(** Shadow-tag probe without side effects (testing). *)
-
 val note_inflight : t -> ready:int -> unit
-(** Occupy an MSHR until [ready] without installing a line — the
-    [Ata_defer] path still spends a fill's worth of MSHR bandwidth. *)
+(** Occupy an MSHR until [ready] without installing a line — a miss
+    served without a fill still spends a fill's worth of MSHR
+    bandwidth. *)
 
 val settle : t -> unit
 (** Retire all in-flight timing state (fill times, MSHR entries) while

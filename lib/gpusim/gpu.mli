@@ -65,8 +65,9 @@ type launch = {
           Best-SWL) — plus the interference-aware hardware schemes:
           [`Ciao] ({!Interference} — per-warp victim attribution driving
           selective L1D bypassing with a throttling fallback) and [`Ata]
-          (an aggregated-tag-array L1D that admits a line to data storage
-          only on proven reuse; see {!Cache.ata_admit}) *)
+          (shadow tag-only ways beside the L1D that admit a line to data
+          storage only on proven reuse; see {!Ata}).  Each becomes one
+          {!Sm.policy} per SM. *)
   bypass_arrays : string list;
       (** arrays whose loads skip the L1D entirely — models the selective
           cache-bypassing alternative of Section 2.2 for ablations *)

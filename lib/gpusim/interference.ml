@@ -7,7 +7,8 @@
    - [on_access] is called once per L1D load transaction and returns
      whether this access must bypass the L1D by policy;
    - [on_evict] is called when a fill displaces a valid line, with the
-     filling warp and the victim line.
+     filling warp and the victim line;
+   - [retire] is called when a warp's thread block completes.
 
    Attribution uses a small direct-mapped line-owner table (last warp to
    touch each line); a fill whose victim is owned by a different warp
@@ -18,9 +19,17 @@
    clears [threshold] are flagged, scores are halved (stale interference
    ages out), and the mode flips to throttling when more than [pressure]
    of the previous epoch's accesses were bypassed — the CIAO fallback for
-   when bypassing only moves the contention down a level. *)
+   when bypassing only moves the contention down a level.
+
+   A retired warp's score can only fall, so its entry is dropped once it
+   can never be flagged again: at retirement when the score is already
+   below [threshold], else at the epoch walk that halves it below.  The
+   table then holds the live warps plus a few retired ones, instead of
+   every warp the SM has run. *)
 
 type mode = Bypass_mode | Throttle_mode
+
+type entry = { mutable score : int; mutable retired : bool }
 
 type t = {
   warmup : int;  (* accesses before the first selection *)
@@ -29,7 +38,7 @@ type t = {
   pressure : float;  (* bypassed fraction that flips to throttling *)
   owners : int array;  (* direct-mapped: owning warp age, -1 = empty *)
   owner_lines : int array;  (* the line each owner slot describes *)
-  scores : (int, int ref) Hashtbl.t;  (* warp age -> interference score *)
+  scores : (int, entry) Hashtbl.t;  (* warp age -> interference score *)
   mutable accesses : int;
   mutable epoch_accesses : int;
   mutable epoch_bypassed : int;
@@ -66,7 +75,9 @@ let mode t = t.mode
 let flagged t = Array.to_list (Array.sub t.flagged 0 t.n_flagged)
 
 let score t ~warp_id =
-  match Hashtbl.find_opt t.scores warp_id with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.scores warp_id with Some e -> e.score | None -> 0
+
+let entries t = Hashtbl.length t.scores
 
 (* flagged is tiny (top_k entries): a linear scan beats any set here.
    Top-level with explicit arguments — a local scan over [t] and
@@ -84,10 +95,18 @@ let on_evict t ~filler ~victim_line =
       (* [find] raising on a new filler, not [find_opt]: no [Some] per
          bump *)
       match Hashtbl.find t.scores filler with
-      | r -> incr r
-      | exception Not_found -> Hashtbl.add t.scores filler (ref 1)
+      | e -> e.score <- e.score + 1
+      | exception Not_found ->
+        Hashtbl.add t.scores filler { score = 1; retired = false }
     end
   end
+
+let retire t ~warp_id =
+  match Hashtbl.find t.scores warp_id with
+  | e ->
+    if e.score < t.threshold then Hashtbl.remove t.scores warp_id
+    else e.retired <- true
+  | exception Not_found -> ()
 
 (* Offer one scored warp to the top-[top_k] selection, kept in
    (score desc, age asc) order — a total order, so the result is the
@@ -119,13 +138,17 @@ let consider t w s =
 let reevaluate t =
   (* one walk per epoch: each warp's score is offered to the selection of
      the top_k warps by (score desc, age asc), score >= threshold, then
-     halved (decay, so sustained interference dominates) *)
+     halved (decay, so sustained interference dominates); a retired
+     warp halved below the threshold is dropped after the walk *)
   t.n_flagged <- 0;
+  let dead = ref [] in
   Hashtbl.iter
-    (fun w r ->
-      consider t w !r;
-      r := !r / 2)
+    (fun w e ->
+      consider t w e.score;
+      e.score <- e.score / 2;
+      if e.retired && e.score < t.threshold then dead := w :: !dead)
     t.scores;
+  List.iter (Hashtbl.remove t.scores) !dead;
   (* bypassing that covers most of the traffic is just contention moved
      to the NoC/DRAM: fall back to throttling the same warps *)
   t.mode <-

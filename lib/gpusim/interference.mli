@@ -4,7 +4,8 @@
 
     Driven from the SM load path: {!on_access} once per L1D load
     transaction (its result says whether the access bypasses the cache
-    by policy), {!on_evict} whenever a fill displaces a valid line.
+    by policy), {!on_evict} whenever a fill displaces a valid line,
+    {!retire} when a warp's thread block completes.
     Nothing is flagged during the warm-up interval, so short or
     single-warp launches never bypass.  Fully deterministic: same access
     stream, same decisions. *)
@@ -40,6 +41,11 @@ val on_evict : t -> filler:int -> victim_line:int -> unit
     the victim belongs to a different warp, the filler's interference
     score rises. *)
 
+val retire : t -> warp_id:int -> unit
+(** [warp_id]'s thread block completed.  Its score entry is dropped now
+    if it is below the flagging threshold, else at the first
+    re-evaluation that halves it below. *)
+
 val throttle_excluded : t -> warp_id:int -> bool
 (** In throttle mode, whether [warp_id] is flagged and must be excluded
     from the scheduler pool (the barrier-drain rule still overrides). *)
@@ -50,3 +56,6 @@ val flagged : t -> int list
 
 val score : t -> warp_id:int -> int
 (** Current interference score of a warp (diagnostics/tests). *)
+
+val entries : t -> int
+(** Warps with a score entry (diagnostics/tests). *)

@@ -9,6 +9,13 @@
     cycle, so divergent warps occupy it for many cycles — the bandwidth
     pressure that makes cache thrashing expensive.
 
+    Runtime policies (DYNCTA, CCWS, DAWS, SWL, CIAO, ATA) plug in
+    through one {!policy} record of hooks per SM, built once per launch
+    ([Gpu] maps the launch's [runtime_throttle] to one of the
+    constructors at the end of this file).  The baseline is
+    {!no_policy}: no-op hooks and no pool filter, so the scheduler scans
+    the resident warps directly.
+
     Data layout: stepping allocates nothing per instruction (TB launch
     and policy epochs do; [test/test_alloc.ml] counts it).  Resident
     warps live in a flat array with stable compaction on TB retirement
@@ -18,8 +25,8 @@
     scratch buffers; ALU operands are staged into unboxed float arrays
     and builtins run lane-wise inside [Minicuda.Builtins], so no
     per-lane float ever crosses a function boundary boxed.  Policy
-    hooks follow the same two rules: no local closure capturing
-    variables, no float returned across a module boundary (dev builds
+    hooks follow the same two rules: their closures are built with the
+    record, never per call, and no hook returns a float (dev builds
     compile with [-opaque]).  Every simulation-visible ordering — pool
     order, transaction issue order, profiler event order — matches the
     original list-based code bit for bit (proven by the golden-grid
@@ -93,7 +100,7 @@ type warp = {
   mutable pool_stamp : int;
       (* generation stamp: member of the scratch pool iff equal to the
          SM's [pool_gen] (O(1) membership without a set) *)
-  ccws_slot : int;  (* this warp's CCWS state slot; -1 without CCWS *)
+  slot : int;  (* this warp's policy state slot; -1 when the policy keeps none *)
 }
 
 and tb = {
@@ -138,15 +145,33 @@ type t = {
   mutable x_acc : int;  (* scratch int accumulator (masks, fold maxima) *)
   mutable x_next_pc : int;  (* exec_instr outputs, fields instead of refs *)
   mutable x_ready : int;
-  throttled : bool;  (* any scheduler-level throttle active (cached) *)
-  dyn : Dynamic_throttle.t option;  (* DYNCTA-like run-time TB-cap controller *)
-  ccws : Ccws.t option;  (* CCWS-like lost-locality warp scheduler *)
-  daws : Daws.t option;  (* DAWS-like proactive footprint predictor *)
-  swl : int option;  (* static warp limit (Best-SWL baseline): schedulable
-                        warps per SM, fixed for the whole launch *)
-  ciao : Interference.t option;
-      (* CIAO interference monitor: flagged warps' loads bypass the L1D
-         (or, under NoC/DRAM pressure, leave the scheduler pool) *)
+  policy : policy;
+}
+
+(** A runtime policy: the hooks the SM calls at its decision points.  One
+    record per SM per launch; each hook closes over its policy's own
+    state, so a call allocates nothing.  {!no_policy} is the baseline:
+    every hook a no-op and no pool filter, which keeps the direct-scan
+    scheduler. *)
+and policy = {
+  launch_warp : unit -> int;  (** a warp is launching: its state slot, or -1 *)
+  retire_warp : warp -> unit;  (** the warp's thread block completed *)
+  load : warp -> int -> bool;
+      (** a global load transaction on a line; [true] bypasses the L1D *)
+  admit : int -> bool;
+      (** an L1D miss on a line; [false] serves it from L2 and fills nothing *)
+  miss : warp -> int -> unit;  (** an L1D load miss on a line *)
+  fill : warp -> int -> unit;  (** the warp's miss is about to fill the line *)
+  mem_instr : warp -> int -> unit;
+      (** a global memory instruction coalesced to this many lines *)
+  loop_enter : warp -> bool;  (** at [Loop_begin]; [false] holds the warp there *)
+  back_edge : warp -> bool;  (** at a loop's [Jump]; [false] holds the warp there *)
+  loop_exit : warp -> unit;  (** at [Loop_end] *)
+  issue : unit -> unit;  (** an instruction issued *)
+  step : t -> unit;  (** after each issue step *)
+  pool_filter : (t -> unit) option;
+      (** fills the scheduler pool ({!pool_add}, age order); [None]
+          schedules every resident warp *)
 }
 
 let dummy_tb =
@@ -178,25 +203,36 @@ let make_dummy_warp () =
     at_barrier = false;
     finished = true;
     pool_stamp = 0;
-    ccws_slot = -1;
+    slot = -1;
   }
 
-(* [?l1] shares an existing L1D instead of creating one: co-resident
-   kernel contexts on the same physical SM ({!Gpu.launch_pair}) contend
-   for one cache, which is exactly the interference being modeled. *)
-let create ?dyn ?ccws ?daws ?swl ?ciao ?l1 job id ~l1_bytes =
+let no_policy =
+  {
+    launch_warp = (fun () -> -1);
+    retire_warp = (fun _ -> ());
+    load = (fun _ _ -> false);
+    admit = (fun _ -> true);
+    miss = (fun _ _ -> ());
+    fill = (fun _ _ -> ());
+    mem_instr = (fun _ _ -> ());
+    loop_enter = (fun _ -> true);
+    back_edge = (fun _ -> true);
+    loop_exit = (fun _ -> ());
+    issue = (fun () -> ());
+    step = (fun _ -> ());
+    pool_filter = None;
+  }
+
+(* Co-resident kernel contexts on the same physical SM
+   ({!Gpu.launch_pair}) pass the same [l1]: they contend for one cache,
+   which is exactly the interference being modeled. *)
+let create job id ~l1 ~policy =
   let ws = job.cfg.Config.warp_size in
   let dw = make_dummy_warp () in
   {
     id;
     job;
-    l1 =
-      (match l1 with
-      | Some shared -> shared
-      | None ->
-        Cache.create ~bytes:l1_bytes ~assoc:job.cfg.Config.l1d_assoc
-          ~line_bytes:job.cfg.Config.line_bytes ~mshrs:job.cfg.Config.l1d_mshrs
-          ());
+    l1;
     now = 0;
     lsu_free = 0;
     warps = Array.make 16 dw;
@@ -220,15 +256,7 @@ let create ?dyn ?ccws ?daws ?swl ?ciao ?l1 job id ~l1_bytes =
     x_acc = 0;
     x_next_pc = 0;
     x_ready = 0;
-    throttled =
-      (match (dyn, ccws, swl, ciao) with
-      | None, None, None, None -> false
-      | _ -> true);
-    dyn;
-    ccws;
-    daws;
-    swl;
-    ciao;
+    policy;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -298,7 +326,7 @@ let launch_tb sm tb_id =
         at_barrier = false;
         finished = false;
         pool_stamp = 0;
-        ccws_slot = (match sm.ccws with Some c -> Ccws.acquire c | None -> -1);
+        slot = sm.policy.launch_warp ();
       }
     in
     sm.next_age <- sm.next_age + 1;
@@ -471,16 +499,10 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
   (* one transaction per LSU slot; throughput > 1 shortens the slot to 0
      every lsu_throughput-th transaction, approximating wider LSUs *)
   sm.lsu_free <- issue + 1;
-  (* the CIAO monitor sees every would-be L1D transaction and may redirect
-     it around the cache; its bypasses share the ablation path (and its
+  (* the policy sees every would-be L1D transaction and may redirect it
+     around the cache; its bypasses share the ablation path (and its
      counters — [bypass_transactions] is the bypassed-by-policy count) *)
-  let bypass =
-    bypass
-    ||
-    match sm.ciao with
-    | Some ci -> Interference.on_access ci ~warp_id:warp.age ~line
-    | None -> false
-  in
+  let bypass = bypass || sm.policy.load warp line in
   if bypass then begin
     stats.Stats.bypass_transactions <- stats.Stats.bypass_transactions + 1;
     (match sm.job.prof with
@@ -507,20 +529,11 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
     end
     else begin
       stats.Stats.l1_misses <- stats.Stats.l1_misses + 1;
-      (match sm.ccws with
-      | Some c -> ignore (Ccws.on_miss c ~slot:warp.ccws_slot ~line)
-      | None -> ());
+      sm.policy.miss warp line;
       let miss_at = Cache.miss_issue sm.l1 ~now:issue in
       let ready = l2_arrival sm ~now:miss_at ~line in
-      (match Cache.ata_admit sm.l1 ~line with
-      | Cache.Ata_fill ->
-        (* the plain-cache fill sequence, bit for bit *)
-        (match sm.ciao with
-        | Some ci ->
-          let victim = Cache.evict_victim sm.l1 ~line in
-          if victim <> -1 then
-            Interference.on_evict ci ~filler:warp.age ~victim_line:victim
-        | None -> ());
+      if sm.policy.admit line then begin
+        sm.policy.fill warp line;
         (match sm.job.prof with
         | Some p ->
           let victim = Cache.evict_victim sm.l1 ~line in
@@ -529,24 +542,11 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
               ~set:(Cache.set_index sm.l1 line) ~victim_line:victim
         | None -> ());
         Cache.fill sm.l1 ~line ~ready
-      | Cache.Ata_promote ->
-        (* proven reuse: the line earns data storage; the displaced
-           victim's tag drops into the shadow array *)
-        stats.Stats.ata_tag_hits <- stats.Stats.ata_tag_hits + 1;
-        stats.Stats.ata_promotions <- stats.Stats.ata_promotions + 1;
-        let victim = Cache.evict_victim sm.l1 ~line in
-        (match sm.job.prof with
-        | Some p ->
-          if victim <> -1 then
-            Profile.Collector.record_evict p ~arr_id ~pc:warp.pc
-              ~set:(Cache.set_index sm.l1 line) ~victim_line:victim
-        | None -> ());
-        Cache.fill sm.l1 ~line ~ready;
-        if victim <> -1 then Cache.ata_note sm.l1 ~line:victim
-      | Cache.Ata_defer ->
-        (* first conflict touch: served from L2, nothing displaced; the
-           miss still holds an MSHR until the data lands *)
-        Cache.note_inflight sm.l1 ~ready);
+      end
+      else
+        (* not admitted: served from L2, nothing displaced; the miss
+           still holds an MSHR until the data lands *)
+        Cache.note_inflight sm.l1 ~ready;
       (match sm.job.prof with
       | Some p ->
         Profile.Collector.record_l1 p ~arr_id ~pc:warp.pc
@@ -564,6 +564,17 @@ let issue_store_transaction sm line =
   (* write-through: update L1 if present (no allocate), allocate in L2 *)
   ignore (Cache.write_update sm.l1 ~now:issue ~line);
   ignore (l2_arrival sm ~now:issue ~line)
+
+(* Coalesce the active lanes' [x_addrs] into [x_lines] and sample the
+   instruction for the Fig. 2 trace and the policy; the line count. *)
+let coalesce sm warp =
+  let nlines =
+    Coalescer.into ~line_bytes:sm.job.cfg.Config.line_bytes ~addrs:sm.x_addrs
+      ~mask:warp.active ~buf:sm.x_lines
+  in
+  Trace.record sm.job.trace ~sm:sm.id ~pc:warp.pc ~requests:nlines ~cycle:sm.now;
+  sm.policy.mem_instr warp nlines;
+  nlines
 
 let exec_global_load sm warp ~dst ~arr_id ~idx_reg =
   let ws = ws_of sm in
@@ -591,16 +602,7 @@ let exec_global_load sm warp ~dst ~arr_id ~idx_reg =
         regs.(dbase + lane) <- data.(idx)
       end
     done;
-  let nlines =
-    Coalescer.into ~line_bytes:sm.job.cfg.Config.line_bytes ~addrs ~mask:active
-      ~buf:sm.x_lines
-  in
-  Trace.record sm.job.trace ~sm:sm.id ~pc:warp.pc ~requests:nlines ~cycle:sm.now;
-  (match sm.daws with
-  | Some d ->
-    let loop_pc = innermost_loop warp in
-    if loop_pc >= 0 then Daws.on_mem_instr d ~loop_pc ~requests:nlines
-  | None -> ());
+  let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_load_instrs <-
     sm.job.stats.Stats.global_load_instrs + 1;
   let bypass = sm.job.bypass.(arr_id) in
@@ -638,16 +640,7 @@ let exec_global_store sm warp ~arr_id ~idx_reg ~src =
         data.(idx) <- opa.(sbase + lane)
       end
     done;
-  let nlines =
-    Coalescer.into ~line_bytes:sm.job.cfg.Config.line_bytes ~addrs ~mask:active
-      ~buf:sm.x_lines
-  in
-  Trace.record sm.job.trace ~sm:sm.id ~pc:warp.pc ~requests:nlines ~cycle:sm.now;
-  (match sm.daws with
-  | Some d ->
-    let loop_pc = innermost_loop warp in
-    if loop_pc >= 0 then Daws.on_mem_instr d ~loop_pc ~requests:nlines
-  | None -> ());
+  let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_store_instrs <-
     sm.job.stats.Stats.global_store_instrs + 1;
   for i = 0 to nlines - 1 do
@@ -690,14 +683,8 @@ let check_barrier_release sm tb =
   if tb.unfinished > 0 && tb.arrived >= tb.unfinished then release_barrier sm tb
 
 let retire_tb sm tb =
-  (match sm.ccws with
-  | Some c ->
-    for i = 0 to sm.n_warps - 1 do
-      let w = sm.warps.(i) in
-      if w.tb == tb then Ccws.release c w.ccws_slot
-    done
-  | None -> ());
-  (* stable compaction: survivors keep their age order *)
+  (* stable compaction: survivors keep their age order; the policy sees
+     each retiring warp *)
   let kept = ref 0 in
   for i = 0 to sm.n_warps - 1 do
     let w = sm.warps.(i) in
@@ -705,6 +692,7 @@ let retire_tb sm tb =
       sm.warps.(!kept) <- w;
       incr kept
     end
+    else sm.policy.retire_warp w
   done;
   for i = !kept to sm.n_warps - 1 do
     sm.warps.(i) <- sm.dummy_warp
@@ -1043,24 +1031,18 @@ let exec_instr sm warp =
     warp.active <- warp.stk.(top warp + o_outer) land lnot warp.exited;
     warp.depth <- warp.depth - 1;
     sm.x_ready <- sm.now + 1
-  | Bytecode.Loop_begin -> (
-    match sm.daws with
-    | None ->
+  | Bytecode.Loop_begin ->
+    if sm.policy.loop_enter warp then begin
       push_frame warp ~kind:k_loop ~outer:active ~pending_else:0
         ~loop_pc:warp.pc;
       sm.x_ready <- sm.now + 1
-    | Some d ->
-      if Daws.try_enter d ~loop_pc:warp.pc ~age:warp.age then begin
-        push_frame warp ~kind:k_loop ~outer:active ~pending_else:0
-          ~loop_pc:warp.pc;
-        sm.x_ready <- sm.now + 1
-      end
-      else begin
-        (* the loop is at its predicted capacity: hold the warp at the
-           entry and retry later (DAWS "stops the new warp") *)
-        sm.x_next_pc <- warp.pc;
-        sm.x_ready <- sm.now + 16
-      end)
+    end
+    else begin
+      (* the loop is at its predicted capacity: hold the warp at the
+         entry and retry later (DAWS "stops the new warp") *)
+      sm.x_next_pc <- warp.pc;
+      sm.x_ready <- sm.now + 16
+    end
   | Bytecode.Break_if_false (cond_reg, exit_pc) ->
     let cbase = cond_reg * ws in
     sm.x_acc <- 0;
@@ -1072,29 +1054,18 @@ let exec_instr sm warp =
     if sm.x_acc = 0 then sm.x_next_pc <- exit_pc;
     sm.x_ready <- sm.now + 1
   | Bytecode.Jump target ->
-    let held =
-      match sm.daws with
-      | Some d ->
-        let loop_pc = innermost_loop warp in
-        loop_pc >= 0 && not (Daws.may_continue d ~loop_pc ~age:warp.age)
-      | None -> false
-    in
-    if held then begin
+    if sm.policy.back_edge warp then begin
+      sm.x_next_pc <- target;
+      sm.x_ready <- sm.now + 1
+    end
+    else begin
       (* descheduled at the back edge: the loop's learned divergence says
          too many warps are inside; retry when older warps have left *)
       sm.x_next_pc <- warp.pc;
       sm.x_ready <- sm.now + 16
     end
-    else begin
-      sm.x_next_pc <- target;
-      sm.x_ready <- sm.now + 1
-    end
   | Bytecode.Loop_end ->
-    (match sm.daws with
-    | Some d ->
-      let loop_pc = innermost_loop warp in
-      if loop_pc >= 0 then Daws.on_loop_exit d ~loop_pc ~age:warp.age
-    | None -> ());
+    sm.policy.loop_exit warp;
     if warp.depth = 0 then sim_error "loop_end on empty mask stack";
     warp.active <- warp.stk.(top warp + o_outer) land lnot warp.exited;
     warp.depth <- warp.depth - 1;
@@ -1142,12 +1113,6 @@ let[@inline] issuable warp sm = (not warp.finished) && (not warp.at_barrier) && 
    could never complete *)
 let draining tb = List.exists (fun w -> w.at_barrier) tb.tb_warps
 
-(* Without a run-time throttle the pool is every resident warp, so the
-   pick/next-event scans walk [sm.warps] directly and nothing is copied or
-   stamped.  This is the common case: the baseline and all compiler-side
-   schemes (CATT, fixed, bypass) run with no scheduler-level throttle. *)
-let no_throttle sm = not sm.throttled
-
 let pool_add sm w =
   if sm.n_pool = Array.length sm.pool then begin
     let bigger = Array.make (2 * sm.n_pool) sm.dummy_warp in
@@ -1158,84 +1123,12 @@ let pool_add sm w =
   sm.n_pool <- sm.n_pool + 1;
   w.pool_stamp <- sm.pool_gen
 
-(* Warps the scheduler may consider: the warps of the first [cap] distinct
-   TBs in age order (dyn), the CCWS-admitted set, or the oldest [limit]
-   live warps (swl).  TB granularity keeps barriers inside a scheduled TB
-   drainable (capping individual warps could park a TB at a barrier
-   forever).  Fills the scratch pool; order is warp (age) order, exactly
-   as the list-based filters produced. *)
-let fill_pool sm =
+(* A fresh pool generation, filled by the policy's filter in warp (age)
+   order, exactly as the list-based filters produced. *)
+let fill_pool sm fill =
   sm.pool_gen <- sm.pool_gen + 1;
   sm.n_pool <- 0;
-  match (sm.ciao, sm.ccws, sm.dyn, sm.swl) with
-  | Some ci, _, _, _ ->
-    (* CIAO throttle fallback: flagged warps leave the pool (the drain
-       rule still overrides).  If exclusion would park every live warp —
-       e.g. a single flagged warp is all that remains — admit everyone
-       rather than deadlock the SM. *)
-    let live = ref false in
-    for i = 0 to sm.n_warps - 1 do
-      let w = sm.warps.(i) in
-      if (not (Interference.throttle_excluded ci ~warp_id:w.age)) || draining w.tb
-      then begin
-        pool_add sm w;
-        if not w.finished then live := true
-      end
-    done;
-    if not !live then begin
-      sm.n_pool <- 0;
-      for i = 0 to sm.n_warps - 1 do
-        pool_add sm sm.warps.(i)
-      done
-    end
-  | None, Some ccws, _, _ ->
-    (* rank the live warps, pushed oldest first so equal scores keep age
-       order; each admitted warp is marked with this fill's pool stamp
-       (no warp carries the fresh generation yet), then the pool is
-       filled in age order *)
-    Ccws.rank_clear ccws;
-    for i = 0 to sm.n_warps - 1 do
-      let w = sm.warps.(i) in
-      if not w.finished then Ccws.rank_push ccws ~slot:w.ccws_slot ~id:i
-    done;
-    for j = 0 to Ccws.rank ccws - 1 do
-      sm.warps.(Ccws.ranked ccws j).pool_stamp <- sm.pool_gen
-    done;
-    for i = 0 to sm.n_warps - 1 do
-      let w = sm.warps.(i) in
-      if w.pool_stamp = sm.pool_gen || draining w.tb then pool_add sm w
-    done
-  | None, None, Some dyn, _ ->
-    let cap = Dynamic_throttle.cap dyn in
-    let seen = ref 0 in
-    for i = 0 to sm.n_warps - 1 do
-      let w = sm.warps.(i) in
-      (* membership first, even with the cap full: a TB already counted
-         keeps all its warps schedulable.  The stamp makes the check O(1)
-         where the scratch-array scan was O(cap) per warp. *)
-      if w.tb.seen_stamp = sm.pool_gen then pool_add sm w
-      else if !seen < cap then begin
-        w.tb.seen_stamp <- sm.pool_gen;
-        incr seen;
-        pool_add sm w
-      end
-    done
-  | None, None, None, Some limit ->
-    (* static warp limiting: the oldest [limit] live warps, in age order *)
-    let admitted = ref 0 in
-    for i = 0 to sm.n_warps - 1 do
-      let w = sm.warps.(i) in
-      if not w.finished then
-        if !admitted < limit then begin
-          incr admitted;
-          pool_add sm w
-        end
-        else if draining w.tb then pool_add sm w
-    done
-  | None, None, None, None ->
-    for i = 0 to sm.n_warps - 1 do
-      pool_add sm sm.warps.(i)
-    done
+  fill sm
 
 (* The pool filter reads only state that cannot change between a
    [next_event] query and the first pick that follows it (warp liveness,
@@ -1244,8 +1137,8 @@ let fill_pool sm =
    fresh and the first pick reuses it; any later pick in the same cycle
    (issue_width > 1) refills, exactly as the per-pick filters of the
    list-based scheduler did. *)
-let pool_for_pick sm =
-  if sm.x_pool_fresh then sm.x_pool_fresh <- false else fill_pool sm
+let pool_for_pick sm fill =
+  if sm.x_pool_fresh then sm.x_pool_fresh <- false else fill_pool sm fill
 
 (* Both scan orders below exploit the same invariant: [sm.warps] (and
    therefore every pool filled from it) is strictly age-ordered — ages are
@@ -1258,19 +1151,22 @@ let rec gto_scan sm (arr : warp array) n i =
     let w = arr.(i) in
     if issuable w sm then w else gto_scan sm arr n (i + 1)
 
+(* Without a pool filter the pool is every resident warp, so the
+   pick/next-event scans walk [sm.warps] directly and nothing is copied or
+   stamped.  This is the common case: the baseline and all compiler-side
+   schemes (CATT, fixed, bypass) run with no scheduler-level throttle. *)
 let pick_gto sm =
-  if no_throttle sm then begin
+  match sm.policy.pool_filter with
+  | None ->
     let last = sm.last_issued in
     if last != sm.dummy_warp && issuable last sm then last
     else gto_scan sm sm.warps sm.n_warps 0
-  end
-  else begin
-    pool_for_pick sm;
+  | Some fill ->
+    pool_for_pick sm fill;
     let last = sm.last_issued in
     if last != sm.dummy_warp && issuable last sm && last.pool_stamp = sm.pool_gen
     then last
     else gto_scan sm sm.pool sm.n_pool 0
-  end
 
 let rec lrr_scan sm (arr : warp array) n i tries =
   if tries = n then sm.dummy_warp
@@ -1283,13 +1179,11 @@ let rec lrr_scan sm (arr : warp array) n i tries =
     else lrr_scan sm arr n (i + 1) (tries + 1)
 
 let pick_lrr sm =
-  if no_throttle sm then
-    if sm.n_warps = 0 then sm.dummy_warp
-    else lrr_scan sm sm.warps sm.n_warps 0 0
-  else begin
-    pool_for_pick sm;
+  match sm.policy.pool_filter with
+  | None -> if sm.n_warps = 0 then sm.dummy_warp else lrr_scan sm sm.warps sm.n_warps 0 0
+  | Some fill ->
+    pool_for_pick sm fill;
     if sm.n_pool = 0 then sm.dummy_warp else lrr_scan sm sm.pool sm.n_pool 0 0
-  end
 
 (** The picked warp, or the SM's dummy sentinel when nothing can issue. *)
 let pick_warp sm =
@@ -1318,12 +1212,12 @@ let next_event sm =
      edges, which only happen when the SM makes progress, so the pool is
      taken from the cap but events consider everyone) *)
   let m =
-    if no_throttle sm then min_ready sm sm.warps sm.n_warps 0 max_int
-    else begin
-      fill_pool sm;
+    match sm.policy.pool_filter with
+    | None -> min_ready sm sm.warps sm.n_warps 0 max_int
+    | Some fill ->
+      fill_pool sm fill;
       sm.x_pool_fresh <- true;
       min_ready sm sm.pool sm.n_pool 0 max_int
-    end
   in
   if m = max_int then max_int else imax m sm.now
 
@@ -1408,22 +1302,19 @@ let rec issue_up_to sm width issued =
       sm.last_issued <- warp;
       sm.job.stats.Stats.issued_instructions <-
         sm.job.stats.Stats.issued_instructions + 1;
-      (match sm.dyn with Some d -> Dynamic_throttle.on_issue d | None -> ());
+      sm.policy.issue ();
       issue_up_to sm width (issued + 1)
     end
 
-(** Advance this SM by one cycle, issuing up to [issue_width] instructions
-    from distinct ready warps (each issue makes the warp unready for at
-    least a cycle, so distinctness is automatic).  Returns [false] when
-    nothing could run (idle or deadlocked — the caller distinguishes via
-    {!has_warps}). *)
-(* [step_at sm ~t] is {!step} with the next-event query hoisted out: the
-   device event loop already computed (and cached) this SM's next event
-   time to pick which SM to step, so recomputing it here would double the
-   scheduler-scan cost of every step.  [t] must be the current
-   [next_event sm] result (possibly clamped up to [sm.now]; values at or
-   below [sm.now] mean "issue now" either way) and must not be
-   [max_int]. *)
+(** Advance this SM to cycle [t] and issue there: up to [issue_width]
+    instructions from distinct ready warps (each issue makes the warp
+    unready for at least a cycle, so distinctness is automatic). *)
+(* The next-event query is hoisted out: the device event loop already
+   computed (and cached) this SM's next event time to pick which SM to
+   step, so recomputing it here would double the scheduler-scan cost of
+   every step.  [t] must be the current [next_event sm] result (possibly
+   clamped up to [sm.now]; values at or below [sm.now] mean "issue now"
+   either way) and must not be [max_int]. *)
 let step_at sm ~t =
   begin
     if t > sm.now then begin
@@ -1442,10 +1333,7 @@ let step_at sm ~t =
       sm.now <- t
     end;
     let issued = issue_up_to sm sm.job.cfg.Config.issue_width 0 in
-    (match sm.dyn with
-    | Some d -> Dynamic_throttle.on_cycle d ~now:sm.now ~max_cap:sm.resident_tbs
-    | None -> ());
-    (match sm.ccws with Some c -> Ccws.tick c | None -> ());
+    sm.policy.step sm;
     if issued = 0 then
       sim_error "scheduler found no warp despite pending event";
     (match sm.job.prof with
@@ -1453,10 +1341,151 @@ let step_at sm ~t =
       Profile.Collector.add_issue_cycle p ~sm:sm.id;
       Profile.Collector.record_issue_interval p ~sm:sm.id ~now:sm.now
     | None -> ());
-    sm.now <- sm.now + 1;
-    true
+    sm.now <- sm.now + 1
   end
 
-let step sm =
-  let t = next_event sm in
-  if t = max_int then false else step_at sm ~t
+(* ---------------------------------------------------------------- *)
+(* Runtime policies                                                  *)
+(* ---------------------------------------------------------------- *)
+
+(* DYNCTA pool: the warps of the first [cap] distinct TBs in age order.
+   TB granularity keeps barriers inside a scheduled TB drainable (capping
+   individual warps could park a TB at a barrier forever). *)
+let dyncta_pool d sm =
+  let cap = Dynamic_throttle.cap d in
+  let seen = ref 0 in
+  for i = 0 to sm.n_warps - 1 do
+    let w = sm.warps.(i) in
+    (* membership first, even with the cap full: a TB already counted
+       keeps all its warps schedulable; the stamp makes the check O(1) *)
+    if w.tb.seen_stamp = sm.pool_gen then pool_add sm w
+    else if !seen < cap then begin
+      w.tb.seen_stamp <- sm.pool_gen;
+      incr seen;
+      pool_add sm w
+    end
+  done
+
+(** DYNCTA-like run-time TB-cap controller. *)
+let dyncta d =
+  {
+    no_policy with
+    issue = (fun () -> Dynamic_throttle.on_issue d);
+    step =
+      (fun sm -> Dynamic_throttle.on_cycle d ~now:sm.now ~max_cap:sm.resident_tbs);
+    pool_filter = Some (dyncta_pool d);
+  }
+
+(* CCWS pool: rank the live warps, pushed oldest first so equal scores
+   keep age order; each admitted warp is marked with this fill's pool
+   stamp (no warp carries the fresh generation yet), then the pool is
+   filled in age order *)
+let ccws_pool c sm =
+  Ccws.rank_clear c;
+  for i = 0 to sm.n_warps - 1 do
+    let w = sm.warps.(i) in
+    if not w.finished then Ccws.rank_push c ~slot:w.slot ~id:i
+  done;
+  for j = 0 to Ccws.rank c - 1 do
+    sm.warps.(Ccws.ranked c j).pool_stamp <- sm.pool_gen
+  done;
+  for i = 0 to sm.n_warps - 1 do
+    let w = sm.warps.(i) in
+    if w.pool_stamp = sm.pool_gen || draining w.tb then pool_add sm w
+  done
+
+(** CCWS-like lost-locality warp scheduler.  Each warp holds a CCWS slot
+    from launch until its TB retires. *)
+let ccws c =
+  {
+    no_policy with
+    launch_warp = (fun () -> Ccws.acquire c);
+    retire_warp = (fun w -> Ccws.release c w.slot);
+    miss = (fun w line -> ignore (Ccws.on_miss c ~slot:w.slot ~line));
+    step = (fun _ -> Ccws.tick c);
+    pool_filter = Some (ccws_pool c);
+  }
+
+(** DAWS-like proactive footprint predictor.  A warp's loop is its
+    innermost loop frame, pushed only once the loop admitted it; outside
+    any loop ([-1]) every [Daws] hook is a no-op that allows. *)
+let daws d =
+  {
+    no_policy with
+    mem_instr =
+      (fun w requests -> Daws.on_mem_instr d ~loop_pc:(innermost_loop w) ~requests);
+    loop_enter = (fun w -> Daws.try_enter d ~loop_pc:w.pc ~age:w.age);
+    back_edge = (fun w -> Daws.may_continue d ~loop_pc:(innermost_loop w) ~age:w.age);
+    loop_exit = (fun w -> Daws.on_loop_exit d ~loop_pc:(innermost_loop w) ~age:w.age);
+  }
+
+(* SWL pool: the oldest [limit] live warps, in age order *)
+let swl_pool limit sm =
+  let admitted = ref 0 in
+  for i = 0 to sm.n_warps - 1 do
+    let w = sm.warps.(i) in
+    if not w.finished then
+      if !admitted < limit then begin
+        incr admitted;
+        pool_add sm w
+      end
+      else if draining w.tb then pool_add sm w
+  done
+
+(** Static warp limit (the Best-SWL baseline): schedulable warps per SM,
+    fixed for the whole launch. *)
+let swl limit = { no_policy with pool_filter = Some (swl_pool limit) }
+
+(* CIAO pool, the throttle fallback: flagged warps leave the pool (the
+   drain rule still overrides).  If exclusion would park every live warp
+   — e.g. a single flagged warp is all that remains — admit everyone
+   rather than deadlock the SM. *)
+let ciao_pool ci sm =
+  let live = ref false in
+  for i = 0 to sm.n_warps - 1 do
+    let w = sm.warps.(i) in
+    if (not (Interference.throttle_excluded ci ~warp_id:w.age)) || draining w.tb
+    then begin
+      pool_add sm w;
+      if not w.finished then live := true
+    end
+  done;
+  if not !live then begin
+    sm.n_pool <- 0;
+    for i = 0 to sm.n_warps - 1 do
+      pool_add sm sm.warps.(i)
+    done
+  end
+
+(** CIAO interference monitor over [l1]: flagged warps' loads bypass the
+    L1D (or, under NoC/DRAM pressure, leave the scheduler pool).  A fill
+    credits the filler with the line it evicts; only this policy pays for
+    the victim lookup. *)
+let ciao ci l1 =
+  {
+    no_policy with
+    retire_warp = (fun w -> Interference.retire ci ~warp_id:w.age);
+    load = (fun w line -> Interference.on_access ci ~warp_id:w.age ~line);
+    fill =
+      (fun w line ->
+        let victim = Cache.evict_victim l1 ~line in
+        if victim <> -1 then
+          Interference.on_evict ci ~filler:w.age ~victim_line:victim);
+    pool_filter = Some (ciao_pool ci);
+  }
+
+(** ATA-Cache: a missing line earns data storage only on proven reuse
+    ({!Ata.admit}); promotions count in [stats]. *)
+let ata (stats : Stats.t) a =
+  {
+    no_policy with
+    admit =
+      (fun line ->
+        match Ata.admit a ~line with
+        | Ata.Fill -> true
+        | Ata.Promote ->
+          stats.Stats.ata_tag_hits <- stats.Stats.ata_tag_hits + 1;
+          stats.Stats.ata_promotions <- stats.Stats.ata_promotions + 1;
+          true
+        | Ata.Defer -> false);
+  }

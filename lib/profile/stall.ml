@@ -1,6 +1,6 @@
 (** Cycle accounting: where each SM cycle went.
 
-    The simulator's scheduler loop ({!Gpusim.Sm.step}) alternates between
+    The simulator's scheduler loop ({!Gpusim.Sm.step_at}) alternates between
     forwarded idle gaps and single issue cycles.  We classify every cycle
     into exactly one of four buckets so the per-SM sums obey the identity
 

@@ -7,10 +7,12 @@
     cell added to a hook shows up as a whole word per call or more, far
     above the 0.01 limit, on any host. *)
 
+module Ata = Gpusim.Ata
 module Cache = Gpusim.Cache
 module Ccws = Gpusim.Ccws
 module Daws = Gpusim.Daws
 module Interference = Gpusim.Interference
+module Sm = Gpusim.Sm
 
 let calls = 100_000
 let limit = 0.01
@@ -41,25 +43,41 @@ let test_cache_probes () =
         ignore (Cache.write_update c ~now:i ~line:(i land 31))
       done)
 
-let test_cache_ata_admit () =
-  let c =
-    Cache.create ~ata_ways:2 ~bytes:1024 ~assoc:2 ~line_bytes:128 ~mshrs:8 ()
-  in
+let full_cache () =
+  let c = Cache.create ~bytes:1024 ~assoc:2 ~line_bytes:128 ~mshrs:8 () in
   for line = 0 to 63 do
     Cache.fill c ~line ~ready:0
   done;
+  c
+
+(* warps with ages 0..n-1, for driving policy hooks directly *)
+let warps n = Array.init n (fun age -> { (Sm.make_dummy_warp ()) with Sm.age })
+
+let test_ata_admit () =
   (* every data way is valid: each absent line, asked twice in a row, is
      deferred (shadow insert) and then promoted (shadow hit) *)
+  let a = Ata.create ~ways:2 (full_cache ()) in
   let decisions = Array.make 3 0 in
-  check_free "Cache.ata_admit" (fun () ->
+  check_free "Ata.admit" (fun () ->
       for i = 0 to calls - 1 do
-        match Cache.ata_admit c ~line:(100 + ((i lsr 1) land 7)) with
-        | Cache.Ata_fill -> decisions.(0) <- decisions.(0) + 1
-        | Cache.Ata_promote -> decisions.(1) <- decisions.(1) + 1
-        | Cache.Ata_defer -> decisions.(2) <- decisions.(2) + 1
+        match Ata.admit a ~line:(100 + ((i lsr 1) land 7)) with
+        | Ata.Fill -> decisions.(0) <- decisions.(0) + 1
+        | Ata.Promote -> decisions.(1) <- decisions.(1) + 1
+        | Ata.Defer -> decisions.(2) <- decisions.(2) + 1
       done);
   Alcotest.(check bool) "promotions and deferrals both ran" true
-    (decisions.(1) > 0 && decisions.(2) > 0)
+    (decisions.(1) > 0 && decisions.(2) > 0);
+  (* the same stream through the SM's admission hook *)
+  let stats = Gpusim.Stats.create () in
+  let p = Sm.ata stats (Ata.create ~ways:2 (full_cache ())) in
+  let admitted = ref 0 in
+  check_free "Sm.ata admit hook" (fun () ->
+      for i = 0 to calls - 1 do
+        if p.Sm.admit (100 + ((i lsr 1) land 7)) then incr admitted
+      done);
+  Alcotest.(check bool) "promotions counted" true
+    (stats.Gpusim.Stats.ata_promotions > 0
+    && stats.Gpusim.Stats.ata_promotions = !admitted)
 
 let test_interference_hooks () =
   let ci = Interference.create () in
@@ -72,7 +90,22 @@ let test_interference_hooks () =
         Interference.on_evict ci ~filler:((w + 1) land 7)
           ~victim_line:(i land 255)
       done);
-  Alcotest.(check bool) "some warp flagged" true (Interference.flagged ci <> [])
+  Alcotest.(check bool) "some warp flagged" true (Interference.flagged ci <> []);
+  (* the SM's CIAO hooks: the load hook and the fill hook, which looks up
+     the victim in the L1D itself *)
+  let ci = Interference.create () in
+  let l1 = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
+  let p = Sm.ciao ci l1 in
+  let ws = warps 8 in
+  check_free "Sm.ciao load/fill hooks" (fun () ->
+      for i = 0 to calls - 1 do
+        let w = ws.(i land 7) and line = i land 255 in
+        if not (p.Sm.load w line) then begin
+          p.Sm.fill w line;
+          Cache.fill l1 ~line ~ready:0
+        end
+      done);
+  Alcotest.(check bool) "hooks flag a warp" true (Interference.flagged ci <> [])
 
 let test_ccws_hooks () =
   let c = Ccws.create ~max_warps:48 () in
@@ -130,10 +163,11 @@ let test_builtin_lanes () =
           ~a:1 ~b:2
       done)
 
-(* One whole launch: the issue loop, scheduler, caches and CCWS together.
-   Setup (parse, compile, device arrays) is inside the count too, so the
-   bound is per simulated instruction rather than zero. *)
-let test_ccws_launch_words_per_instr () =
+(* One whole launch per policy: the issue loop, scheduler, caches and
+   the policy's hooks together.  Setup (parse, compile, device arrays) is
+   inside the count too, so the bound is per simulated instruction rather
+   than zero. *)
+let check_launch_words_per_instr (name, throttle) =
   let cfg = Experiments.Configs.max_l1d () in
   let p =
     {
@@ -143,26 +177,37 @@ let test_ccws_launch_words_per_instr () =
       hot_reps = 64;
     }
   in
-  ignore (Workloads.Fixtures.run_interference ~throttle:`Ccws cfg p);
+  ignore (Workloads.Fixtures.run_interference ~throttle cfg p);
   let before = Gc.minor_words () in
-  let stats = Workloads.Fixtures.run_interference ~throttle:`Ccws cfg p in
+  let stats = Workloads.Fixtures.run_interference ~throttle cfg p in
   let words = Gc.minor_words () -. before in
   let per_instr = words /. float_of_int stats.Gpusim.Stats.instructions in
   if per_instr > 1.0 then
-    Alcotest.failf "CCWS launch allocates %.2f words per instruction (%d instrs)"
-      per_instr stats.Gpusim.Stats.instructions
+    Alcotest.failf "%s launch allocates %.2f words per instruction (%d instrs)"
+      name per_instr stats.Gpusim.Stats.instructions
 
 let tests =
   [
     ( "alloc.hooks",
       [
         Alcotest.test_case "cache probe and write" `Quick test_cache_probes;
-        Alcotest.test_case "ATA admission" `Quick test_cache_ata_admit;
+        Alcotest.test_case "ATA admission" `Quick test_ata_admit;
         Alcotest.test_case "CIAO monitor" `Quick test_interference_hooks;
         Alcotest.test_case "CCWS miss, tick and rank" `Quick test_ccws_hooks;
         Alcotest.test_case "DAWS gates" `Quick test_daws_hooks;
         Alcotest.test_case "builtin lanes" `Quick test_builtin_lanes;
-        Alcotest.test_case "CCWS launch per instruction" `Quick
-          test_ccws_launch_words_per_instr;
+        Alcotest.test_case "CCWS launch per instruction" `Quick (fun () ->
+            check_launch_words_per_instr ("CCWS", `Ccws));
+        Alcotest.test_case "launch per instruction, other policies" `Quick
+          (fun () ->
+            List.iter check_launch_words_per_instr
+              [
+                ("baseline", `None);
+                ("DYNCTA", `Dyncta);
+                ("DAWS", `Daws);
+                ("SWL", `Swl 4);
+                ("CIAO", `Ciao);
+                ("ATA", `Ata);
+              ]);
       ] );
   ]

@@ -538,8 +538,91 @@ let test_cache_settle_frees_mshrs () =
   let ready, _ = Gpusim.Cache.access c ~now:0 ~line:3 ~miss_ready:(fun ~issue -> issue + 10) in
   Alcotest.(check int) "no stale stall" 10 ready
 
+(* ------------------------- CIAO score table ------------------------ *)
+
+module Interference = Gpusim.Interference
+
+(* [n] L1D accesses by warp 0, each the owner of the line it touches *)
+let ciao_accesses ci n =
+  for _ = 1 to n do
+    ignore (Interference.on_access ci ~warp_id:0 ~line:0)
+  done
+
+(* [n] fills by [filler], each evicting a line warp 0 owns: one access
+   and one score point per fill *)
+let ciao_bump ci ~filler n =
+  for i = 1 to n do
+    let line = (filler * 1000) + i in
+    ignore (Interference.on_access ci ~warp_id:0 ~line);
+    Interference.on_evict ci ~filler ~victim_line:line
+  done
+
+let test_ciao_retired_entries_drop () =
+  let ci = Interference.create ~warmup:1000 ~epoch:1000 ~threshold:8 () in
+  ciao_bump ci ~filler:1 3;
+  ciao_bump ci ~filler:2 20;
+  ciao_bump ci ~filler:3 2;
+  Alcotest.(check int) "three scored warps" 3 (Interference.entries ci);
+  (* below the threshold a retired warp can never be flagged: dropped now *)
+  Interference.retire ci ~warp_id:1;
+  Alcotest.(check int) "low score dropped at retirement" 2 (Interference.entries ci);
+  (* above it, it still competes for a flag slot: kept *)
+  Interference.retire ci ~warp_id:2;
+  Alcotest.(check int) "high score kept at retirement" 2 (Interference.entries ci);
+  (* first walk (access 1000): 20 is flagged and halved to 10, still
+     flaggable, so the entry stays *)
+  ciao_accesses ci (1000 - 25);
+  Alcotest.(check (list int)) "retired warp flagged" [ 2 ] (Interference.flagged ci);
+  Alcotest.(check int) "kept while flaggable" 10 (Interference.score ci ~warp_id:2);
+  Alcotest.(check int) "no drop yet" 2 (Interference.entries ci);
+  (* second walk: flagged once more, halved to 5 < 8, dropped; the live
+     warp's entry stays whatever its score *)
+  ciao_accesses ci 1000;
+  Alcotest.(check (list int)) "flagged on its last walk" [ 2 ] (Interference.flagged ci);
+  Alcotest.(check int) "dropped at the walk that halves it below" 1
+    (Interference.entries ci);
+  Alcotest.(check int) "live warp kept" 0 (Interference.score ci ~warp_id:3);
+  ciao_accesses ci 1000;
+  Alcotest.(check (list int)) "never flagged again" [] (Interference.flagged ci)
+
+(* ------------------------- ATA shadow ------------------------------ *)
+
+let test_ata_defer_then_promote () =
+  (* 2 sets x 2 data ways, 2 shadow ways per set *)
+  let c = Gpusim.Cache.create ~bytes:512 ~assoc:2 ~line_bytes:128 ~mshrs:8 () in
+  let a = Gpusim.Ata.create ~ways:2 c in
+  let set = Gpusim.Cache.set_index c 0 in
+  let same_set =
+    List.filter (fun l -> Gpusim.Cache.set_index c l = set) (List.init 64 Fun.id)
+  in
+  let l0, l1, l2 =
+    match same_set with
+    | l0 :: l1 :: l2 :: _ -> (l0, l1, l2)
+    | _ -> Alcotest.fail "fewer than three lines in one set"
+  in
+  let check what expected line =
+    Alcotest.(check bool) what true (Gpusim.Ata.admit a ~line = expected)
+  in
+  check "cold fill" Gpusim.Ata.Fill l0;
+  Gpusim.Cache.fill c ~line:l0 ~ready:0;
+  check "cold fill into the last invalid way" Gpusim.Ata.Fill l1;
+  Gpusim.Cache.fill c ~line:l1 ~ready:0;
+  check "first conflict touch deferred" Gpusim.Ata.Defer l2;
+  Alcotest.(check bool) "nothing displaced" true (Gpusim.Cache.contains c ~line:l0);
+  check "proven reuse promoted" Gpusim.Ata.Promote l2;
+  Gpusim.Cache.fill c ~line:l2 ~ready:0;
+  (* the LRU line the promotion displaced now sits in the shadow *)
+  check "displaced line shadowed" Gpusim.Ata.Promote l0
+
 let tests =
   [
+    ( "ext.ciao",
+      [
+        Alcotest.test_case "retired entries drop" `Quick test_ciao_retired_entries_drop;
+      ] );
+    ( "ext.ata",
+      [ Alcotest.test_case "defer then promote" `Quick test_ata_defer_then_promote ]
+    );
     ( "ext.dynamic",
       [
         Alcotest.test_case "controller reverses" `Quick test_dynamic_controller_reverses;

@@ -293,6 +293,45 @@ let test_corrupt_cache_entry_is_recomputed () =
       let second = Runner.run cfg w Runner.Baseline in
       check_run_equal "recomputed, not crashed" first second)
 
+(* A failed store publishes nothing, leaves no temp file and raises
+   nothing: it only counts [cache.store_errors]. *)
+let store_fails_cleanly what ~prepare =
+  with_temp_cache (fun () ->
+      let cfg = Gpusim.Config.scaled ~num_sms:2 ~onchip_bytes:(32 * 1024) () in
+      let file = Cache.path cfg ~workload:"W" ~scheme:"S" ~seed:1 in
+      let tmp =
+        Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
+          (Domain.self () :> int)
+      in
+      Cache.mkdir_p (Filename.dirname file);
+      let cleanup = prepare ~file ~tmp in
+      Fun.protect ~finally:cleanup (fun () ->
+          let errors = Obs.Metrics.counter "cache.store_errors" in
+          let before = Obs.Metrics.value errors
+          and stores = (Cache.stats ()).Cache.stores in
+          Cache.store cfg ~workload:"W" ~scheme:"S" ~seed:1
+            (Gpu_util.Json.Obj [ ("x", Gpu_util.Json.Int 1) ]);
+          Alcotest.(check int) (what ^ ": error counted") (before + 1)
+            (Obs.Metrics.value errors);
+          Alcotest.(check int) (what ^ ": not counted as stored") stores
+            (Cache.stats ()).Cache.stores;
+          Alcotest.(check bool) (what ^ ": temp file removed") false
+            (Sys.file_exists tmp);
+          Alcotest.(check bool) (what ^ ": nothing published") true
+            (Cache.load cfg ~workload:"W" ~scheme:"S" ~seed:1 = None)))
+
+let test_store_full_disk () =
+  (* the temp file is /dev/full: the final flush fails with ENOSPC *)
+  store_fails_cleanly "full disk" ~prepare:(fun ~file:_ ~tmp ->
+      Unix.symlink "/dev/full" tmp;
+      fun () -> try Sys.remove tmp with Sys_error _ -> ())
+
+let test_store_rename_fails () =
+  (* a directory sits at the entry's path: the rename fails *)
+  store_fails_cleanly "rename" ~prepare:(fun ~file ~tmp:_ ->
+      Unix.mkdir file 0o755;
+      fun () -> Unix.rmdir file)
+
 let tests =
   [
     ( "parallel.pool",
@@ -315,5 +354,7 @@ let tests =
           test_fingerprint_sensitive_to_every_field;
         Alcotest.test_case "second run hits cache" `Quick test_warm_second_run_hits_cache;
         Alcotest.test_case "corrupt entry recomputed" `Quick test_corrupt_cache_entry_is_recomputed;
+        Alcotest.test_case "store on a full disk" `Quick test_store_full_disk;
+        Alcotest.test_case "store whose rename fails" `Quick test_store_rename_fails;
       ] );
   ]
