@@ -57,7 +57,7 @@ let measure ~name ~cells f =
   }
 
 let run_cell cfg w scheme =
-  match Runner.run_uncached cfg w scheme with
+  match Runner.exec_uncached (Runner.Request.make cfg w scheme) with
   | Ok _ -> ()
   | Error msg -> failwith msg
 

@@ -36,11 +36,9 @@ let m_misses = Obs.Metrics.counter "cache.misses"
 let m_stores = Obs.Metrics.counter "cache.stores"
 
 let m_evictions = Obs.Metrics.counter "cache.evictions"
-(** Entries that existed on disk but could not be used: unreadable /
-    corrupt JSON here, plus stale-format entries {!Runner} rejects and
-    recomputes (it calls {!note_evicted}). *)
-
-let note_evicted () = Obs.Metrics.incr m_evictions
+(** Entries that existed on disk but could not be used: unreadable,
+    corrupt, or rejected by the caller's decoder (a stale format or the
+    wrong shape) — each also counted as a miss, never as a hit. *)
 
 let m_store_errors = Obs.Metrics.counter "cache.store_errors"
 (** Stores that failed (a full disk, a directory in the entry's way):
@@ -181,7 +179,10 @@ let read_file file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ?tenant cfg ~workload ~scheme ~seed =
+(** The cell's entry, decoded.  Only an entry that [decode] accepts is a
+    hit; an unreadable, corrupt, stale or wrong-shape one is a miss and
+    an eviction, so the caller recomputes and overwrites it. *)
+let find ?tenant cfg ~workload ~scheme ~seed decode =
   if not !enabled then None
   else
     let file = path ?tenant cfg ~workload ~scheme ~seed in
@@ -190,15 +191,18 @@ let load ?tenant cfg ~workload ~scheme ~seed =
       None
     end
     else
-      match Json.of_string (read_file file) with
-      | Ok json ->
+      match Result.bind (Json.of_string (read_file file)) decode with
+      | Ok v ->
         Obs.Metrics.incr m_hits;
-        Some json
+        Some v
       | Error _ | (exception Sys_error _) ->
-        (* a corrupt or unreadable entry is a miss, not a failure *)
         Obs.Metrics.incr m_misses;
         Obs.Metrics.incr m_evictions;
         None
+
+(** The entry as parsed JSON, with no decoding behind the parse. *)
+let load ?tenant cfg ~workload ~scheme ~seed =
+  find ?tenant cfg ~workload ~scheme ~seed (fun json -> Ok json)
 
 (** Whether the (tenant's) shard holds an entry for the cell, valid or
     not; no hit or miss is counted. *)

@@ -79,11 +79,10 @@ let profiles cfg (w : Workloads.Workload.t) =
     pairs
   in
   match
-    Cache.load cfg ~workload:w.Workloads.Workload.name ~scheme:scheme_label
-      ~seed:Runner.seed
+    Cache.find cfg ~workload:w.Workloads.Workload.name ~scheme:scheme_label
+      ~seed:Runner.seed bundle_of_json
   with
-  | Some json -> (
-    match bundle_of_json json with Ok pairs -> pairs | Error _ -> recompute ())
+  | Some pairs -> pairs
   | None -> recompute ()
 
 (* ------------------------------------------------------------------ *)

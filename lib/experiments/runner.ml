@@ -64,10 +64,9 @@ type app_run = {
 (* ------------------------------------------------------------------ *)
 
 (** A single record describing one execution of a (config, workload,
-    scheme) cell — the sim flags that used to be triplicated optional
-    arguments on [run] / [run_result] / [run_uncached] live here once.
-    Build one with {!Request.make} and hand it to {!exec}; the legacy
-    entry points are now flag-free thin wrappers. *)
+    scheme) cell, sim flags included.  Build one with {!Request.make} and
+    hand it to {!exec} (cached) or {!exec_uncached}; {!run} is the one
+    flag-free shorthand left, for the sweeps below. *)
 module Request = struct
   type t = {
     cfg : Config.t;
@@ -167,15 +166,18 @@ type fixed_variant = {
   fixed_carveout : int option;
 }
 
+(* the occupancy [prog] reaches at [geo]'s launch shape *)
+let occupancy cfg (geo : Catt.Analysis.geometry) prog =
+  Catt.Occupancy.configure cfg
+    ~grid_tbs:(geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y)
+    ~tb_threads:(geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y)
+    ~num_regs:prog.Gpusim.Bytecode.num_regs
+    ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
+
 let fixed_variant cfg kernel geo ~n ~m =
   let prog0 = Gpusim.Codegen.compile_kernel kernel in
   let tb_threads = geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y in
-  let grid_tbs = geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y in
-  match
-    Catt.Occupancy.configure cfg ~grid_tbs ~tb_threads
-      ~num_regs:prog0.Gpusim.Bytecode.num_regs
-      ~shared_bytes:prog0.Gpusim.Bytecode.shared_bytes ()
-  with
+  match occupancy cfg geo prog0 with
   | Error msg -> Error msg
   | Ok occ ->
     let warps_per_tb = occ.Catt.Occupancy.warps_per_tb in
@@ -253,14 +255,8 @@ let prepare_catt ?model cfg kernel geo =
 
 let prepare_baseline cfg kernel geo =
   let prog = Gpusim.Codegen.compile_kernel kernel in
-  let tb_threads = geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y in
-  let grid_tbs = geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y in
   let tlp =
-    match
-      Catt.Occupancy.configure cfg ~grid_tbs ~tb_threads
-        ~num_regs:prog.Gpusim.Bytecode.num_regs
-        ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
-    with
+    match occupancy cfg geo prog with
     | Ok occ -> (occ.Catt.Occupancy.warps_per_tb, occ.Catt.Occupancy.tbs_per_sm)
     | Error _ -> (0, 0)
   in
@@ -326,6 +322,52 @@ let note_kernel acc ~name ~tlp ~trace ~profile stats =
   | None ->
     acc := !acc @ [ (name, { kernel_name = name; stats; tlp; trace; profile }) ]
 
+(* One launch of [w]'s kernel under [scheme], with its prepared TLP.  A
+   compile-time scheme throttles nothing at run time, which is what lets
+   co-resident pairs share this. *)
+let launch_of ?(trace = false) ?profile cfg (w : Workloads.Workload.t) scheme
+    prepared (l : Workloads.Workload.kernel_launch) =
+  let p = List.assoc l.kernel_name prepared in
+  ( Gpu.default_launch ?smem_carveout:p.carveout ~trace
+      ~runtime_throttle:
+        (match scheme with
+        | Dynamic -> `Dyncta
+        | CcwsSched -> `Ccws
+        | DawsSched -> `Daws
+        | Swl k -> `Swl k
+        | Ciao -> `Ciao
+        | Ata -> `Ata
+        | Baseline | Catt | CattSa | Fixed _ | Bypass -> `None)
+      ~bypass_arrays:
+        (if scheme = Bypass then
+           Catt.Bypass.divergent_arrays cfg
+             (Workloads.Workload.find_kernel w l.kernel_name)
+             (Workloads.Workload.geometry_of l)
+         else [])
+      ~prog:p.prog ~grid:l.grid ~block:l.block ?profile l.args,
+    p.prepared_tlp )
+
+(* the run whose launches noted their stats into [acc], verified against
+   the final device state *)
+let app_run_of (w : Workloads.Workload.t) scheme prepared acc dev ~manifest =
+  let kernels_stats = List.map snd !acc in
+  {
+    workload = w.Workloads.Workload.name;
+    scheme;
+    kernels = kernels_stats;
+    total_cycles =
+      List.fold_left
+        (fun t ks -> t + ks.stats.Gpusim.Stats.cycles)
+        0 kernels_stats;
+    verified = w.Workloads.Workload.verify dev;
+    catt_analyses =
+      List.filter_map
+        (fun (name, p) ->
+          match p.analysis with Some a -> Some (name, a) | None -> None)
+        prepared;
+    manifest;
+  }
+
 let exec_uncached (req : Request.t) =
   let { Request.cfg; workload = w; scheme; trace; profile; timeline; tenant = _;
         on_device } =
@@ -362,60 +404,27 @@ let exec_uncached (req : Request.t) =
   let acc : (string * kernel_stats) list ref = ref [] in
   List.iter
     (fun (l : Workloads.Workload.kernel_launch) ->
-      let p = List.assoc l.kernel_name prepared in
-      let launch =
-        Gpu.default_launch ?smem_carveout:p.carveout ~trace
-          ~runtime_throttle:
-            (match scheme with
-            | Dynamic -> `Dyncta
-            | CcwsSched -> `Ccws
-            | DawsSched -> `Daws
-            | Swl k -> `Swl k
-            | Ciao -> `Ciao
-            | Ata -> `Ata
-            | Baseline | Catt | CattSa | Fixed _ | Bypass -> `None)
-          ~bypass_arrays:
-            (if scheme = Bypass then
-               Catt.Bypass.divergent_arrays cfg
-                 (Workloads.Workload.find_kernel w l.kernel_name)
-                 (Workloads.Workload.geometry_of l)
-             else [])
-          ~prog:p.prog ~grid:l.grid ~block:l.block
-          ?profile:(collector_for l.kernel_name)
-          l.args
+      let launch, tlp =
+        launch_of ~trace ?profile:(collector_for l.kernel_name) cfg w scheme
+          prepared l
       in
       let stats, tr = Gpu.launch dev launch in
-      note_kernel acc ~name:l.kernel_name ~tlp:p.prepared_tlp
+      note_kernel acc ~name:l.kernel_name ~tlp
         ~trace:(if trace then Some tr else None)
         ~profile:(collector_for l.kernel_name)
         stats)
     w.Workloads.Workload.launches;
-  let kernels_stats = List.map snd !acc in
   (* observe the final device state (e.g. digest the memory image for the
      golden-grid bit-identity snapshots) before it goes out of scope *)
   (match on_device with Some f -> f dev | None -> ());
   Obs.Metrics.incr m_cells;
   Ok
-    {
-      workload = w.Workloads.Workload.name;
-      scheme;
-      kernels = kernels_stats;
-      total_cycles =
-        List.fold_left
-          (fun t ks -> t + ks.stats.Gpusim.Stats.cycles)
-          0 kernels_stats;
-      verified = w.Workloads.Workload.verify dev;
-      catt_analyses =
-        List.filter_map
-          (fun (name, p) ->
-            match p.analysis with Some a -> Some (name, a) | None -> None)
-          prepared;
-      manifest =
-        Some
-          (Manifest.make cfg ~workload:w.Workloads.Workload.name
-             ~scheme:(scheme_label scheme) ~seed
-             ~wall_seconds:(Unix.gettimeofday () -. started));
-    }
+    (app_run_of w scheme prepared acc dev
+       ~manifest:
+         (Some
+            (Manifest.make cfg ~workload:w.Workloads.Workload.name
+               ~scheme:(scheme_label scheme) ~seed
+               ~wall_seconds:(Unix.gettimeofday () -. started))))
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip (the persistent cache's wire format)                *)
@@ -528,16 +537,23 @@ let run_of_json cfg (w : Workloads.Workload.t) scheme json =
     json
 
 (* ------------------------------------------------------------------ *)
-(* Memoization: a thread-safe in-process table backed by the on-disk   *)
-(* cache.  Pool workers race on the table, so every access is locked;  *)
-(* simulation itself runs outside the lock (each run owns its device). *)
+(* The cache ladder: memo, single flight, disk, simulation             *)
 (* ------------------------------------------------------------------ *)
 
-let memo : (string, app_run) Hashtbl.t = Hashtbl.create 64
+(** One kind of cached result — a solo cell's run, or a co-resident
+    pair's two — with what the ladder needs to keep, persist, find and
+    compute it.  ['req] is what decoding and simulating need beyond the
+    config.  Each instance is built once, at module initialisation. *)
+type ('req, 'a) ladder = {
+  memo : (string, 'a) Hashtbl.t;  (** keyed by {!memo_key_raw} *)
+  flights : ('a * source, string) result Gpu_util.Single_flight.t;
+  encode : 'a -> Json.t;
+  decode : Config.t -> 'req -> Json.t -> ('a, string) result;
+  simulate : Config.t -> 'req -> ('a, string) result;
+}
 
-let pair_memo : (string, app_run * app_run) Hashtbl.t = Hashtbl.create 8
-(** co-resident cells, keyed like {!memo} but over the normalized pair *)
-
+(* pool workers race on the memos, so every access is locked; simulation
+   itself runs outside the lock (each run owns its device) *)
 let memo_lock = Mutex.create ()
 
 (* the in-process memo is tenant-qualified like the disk shards: tenant
@@ -547,25 +563,9 @@ let memo_key_raw ?tenant cfg ~workload ~scheme =
   let base = Cache.key cfg ~workload ~scheme ~seed in
   match tenant with None -> base | Some t -> base ^ "|tenant=" ^ t
 
-let memo_key ?tenant cfg (w : Workloads.Workload.t) scheme =
-  memo_key_raw ?tenant cfg ~workload:w.Workloads.Workload.name
+let memo_key cfg (w : Workloads.Workload.t) scheme =
+  memo_key_raw cfg ~workload:w.Workloads.Workload.name
     ~scheme:(scheme_label scheme)
-
-(* ------------------------------------------------------------------ *)
-(* Single-flight: dedup of identical in-flight cells                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Keyed by the tenant-INDEPENDENT cache key: results are deterministic
-   per cell, so concurrent identical requests from different tenants can
-   share one simulation — each follower still adopts the result into its
-   own memo entry and disk shard, so per-tenant isolation of stored
-   results survives coalescing. *)
-let cell_flights : (app_run * source, string) result Gpu_util.Single_flight.t =
-  Gpu_util.Single_flight.create ()
-
-let pair_flights :
-    ((app_run * app_run) * source, string) result Gpu_util.Single_flight.t =
-  Gpu_util.Single_flight.create ()
 
 let m_coalesced = Obs.Metrics.counter "runner.coalesced"
 (** Requests that joined an in-flight identical computation. *)
@@ -576,16 +576,6 @@ let coalesced_total () = Obs.Metrics.value m_coalesced
     pairs included) — the denominator the dedup proof counts. *)
 let simulated_total () = Obs.Metrics.value m_cells
 
-let flights_in_progress () =
-  Gpu_util.Single_flight.in_flight cell_flights
-  + Gpu_util.Single_flight.in_flight pair_flights
-
-(* live gauge: sampled at Metrics.snapshot time, so the admin plane sees
-   the current dedup pressure, not a stale mirror *)
-let () =
-  Obs.Metrics.gauge_fn "runner.flights_in_progress" (fun () ->
-      float_of_int (flights_in_progress ()))
-
 (* Leaders deposit their trace id on the flight; joiners record it, so a
    coalesced request's span links to the flight that computed it. *)
 let flight_tag () =
@@ -594,148 +584,149 @@ let flight_tag () =
 let progress : bool ref = ref false
 (** When set, one line per simulated or cache-loaded run goes to stderr. *)
 
-(** Drops every in-process result (the disk cache is untouched) — lets
-    tests exercise the cold-start path of a fresh process. *)
-let clear_memo () =
+(* a string attribute on [span], when tracing is on *)
+let add_str span key v =
+  match span with Some s -> Obs.Span.add_attr s key (Obs.Span.Str v) | None -> ()
+
+(* the memo-hit path, without a closure: [find_opt] cannot raise *)
+let memo_find memo key =
   Mutex.lock memo_lock;
-  Hashtbl.reset memo;
-  Hashtbl.reset pair_memo;
-  Mutex.unlock memo_lock
+  let r = Hashtbl.find_opt memo key in
+  Mutex.unlock memo_lock;
+  r
 
-let log_run source (r : app_run) =
-  if !progress then
-    Printf.eprintf "[run] %-12s %-16s %10d cycles  (%s)\n%!" r.workload
-      (scheme_label r.scheme) r.total_cycles source
+(** Climb [ladder] for the cell labelled [workload] and [scheme]: the
+    in-process memo, then the single-flight table, then the disk cache,
+    then a real simulation (persisted on completion).  Concurrent
+    identical cells — pool workers racing on the same cell, from any
+    tenant — coalesce: exactly one leader reads the disk or simulates,
+    every follower blocks on the flight entry and receives the leader's
+    result as [Coalesced], adopting it into its own tenant's memo entry
+    and disk shard.  Simulation failures (occupancy refusals, sanitizer
+    diagnostics) come back as [Error] with the located report, are
+    fanned out to every waiter, and are never cached.  A joiner records
+    the leader's trace id on [span]. *)
+let climb ladder ~span ?tenant cfg ~workload ~scheme req =
+  let key = memo_key_raw ?tenant cfg ~workload ~scheme in
+  match memo_find ladder.memo key with
+  | Some r -> Ok (r, Memo)
+  | None -> (
+    let adopt r =
+      Mutex.protect memo_lock (fun () -> Hashtbl.replace ladder.memo key r)
+    in
+    let store r =
+      Cache.store ?tenant cfg ~workload ~scheme ~seed (ladder.encode r)
+    in
+    let compute () =
+      match
+        Cache.find ?tenant cfg ~workload ~scheme ~seed (ladder.decode cfg req)
+      with
+      | Some r -> Ok (r, Disk)
+      | None -> (
+        match ladder.simulate cfg req with
+        | Error _ as e -> e
+        | Ok r ->
+          store r;
+          Ok (r, Simulated))
+    in
+    let joined leader_tag =
+      Obs.Metrics.incr m_coalesced;
+      if leader_tag <> "" then add_str span "leader_trace_id" leader_tag
+    in
+    (* Keyed by the tenant-INDEPENDENT cache key: results are
+       deterministic per cell, so concurrent identical requests from
+       different tenants can share one computation — each follower still
+       adopts the result into its own memo entry and disk shard, so
+       per-tenant isolation of stored results survives coalescing. *)
+    match
+      Gpu_util.Single_flight.run_tagged ladder.flights
+        (memo_key_raw cfg ~workload ~scheme)
+        ~tag:(flight_tag ()) compute
+    with
+    | `Led (Error _ as e) -> e
+    | `Led (Ok (r, _) as ok) ->
+      adopt r;
+      ok
+    | `Joined (leader_tag, (Error _ as e)) ->
+      joined leader_tag;
+      e
+    | `Joined (leader_tag, Ok (r, _)) ->
+      joined leader_tag;
+      (* fan-out: this request did no simulation work, but its tenant
+         still gets its own shard entry (so the next cold process hits
+         disk) and its own memo entry.  A shard that already holds the
+         entry — the one the leader just read, when both share a
+         tenant — is left alone. *)
+      if not (Cache.mem ?tenant cfg ~workload ~scheme ~seed) then store r;
+      adopt r;
+      Ok (r, Coalesced))
 
-let with_lock f =
-  Mutex.lock memo_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock memo_lock) f
+(** Solo cells, one run per (config, workload, scheme). *)
+let cell_ladder : (Request.t, app_run) ladder =
+  {
+    memo = Hashtbl.create 64;
+    flights = Gpu_util.Single_flight.create ();
+    encode = run_to_json;
+    decode = (fun cfg r -> run_of_json cfg r.Request.workload r.Request.scheme);
+    simulate = (fun _ req -> exec_uncached req);
+  }
 
-(** Compute one run: in-process memo, then the single-flight table, then
-    the disk cache, then a real simulation (persisted on completion).
-    Concurrent identical cells — pool workers racing on the same
-    (config, workload, scheme), from any tenant — coalesce: exactly one
-    leader simulates, every follower blocks on the flight entry and
-    receives the leader's result as [Coalesced], adopting it into its
-    own tenant's memo entry and disk shard.  Preparation failures
-    (occupancy refusals, sanitizer diagnostics) come back as [Error]
-    with the located report, are fanned out to every waiter, and are
-    never cached.  The second component says where the result came
-    from — the serve layer uses it for per-tenant hit/miss
-    attribution. *)
+(** One cell through {!cell_ladder} ({!climb}); a request whose payload
+    is never persisted ({!Request.bypasses_cache}) always simulates.  The
+    second component says where the result came from — the serve layer
+    uses it for per-tenant hit/miss attribution. *)
 let exec_with_source (req : Request.t) =
-  let w = req.Request.workload
-  and cfg = req.Request.cfg
-  and scheme = req.Request.scheme
-  and tenant = req.Request.tenant in
+  let w = req.Request.workload and scheme = req.Request.scheme in
   Obs.Span.with_span "runner.run"
     ~attrs:
       [
         ("workload", Obs.Span.Str w.Workloads.Workload.name);
         ("scheme", Obs.Span.Str (scheme_label scheme));
       ]
-  @@ fun run_span ->
-  let note_source src =
-    Option.iter
-      (fun s -> Obs.Span.add_attr s "source" (Obs.Span.Str src))
-      run_span
-  in
+  @@ fun span ->
   if Request.bypasses_cache req then begin
-    note_source "simulated (uncached)";
+    add_str span "source" "simulated (uncached)";
     Result.map (fun r -> (r, Simulated)) (exec_uncached req)
   end
-  else begin
-    let key = memo_key ?tenant cfg w scheme in
-    match with_lock (fun () -> Hashtbl.find_opt memo key) with
-    | Some r ->
-      note_source "memo";
-      Ok (r, Memo)
-    | None -> (
-      let workload = w.Workloads.Workload.name
-      and label = scheme_label scheme in
-      let adopt r = with_lock (fun () -> Hashtbl.replace memo key r) in
-      (* the flight key is tenant-independent: identical cells coalesce
-         across tenants, attribution and storage stay per tenant *)
-      let flight_key = memo_key cfg w scheme in
-      let compute () =
-        let from_disk =
-          match Cache.load ?tenant cfg ~workload ~scheme:label ~seed with
-          | None -> None
-          | Some json -> (
-            match run_of_json cfg w scheme json with
-            | Ok r -> Some r
-            | Error _ ->
-              (* stale or corrupt entry: recompute.  Cache.load counted a
-                 hit for the successful parse, but the entry is unusable *)
-              Cache.note_evicted ();
-              None)
-        in
-        match from_disk with
-        | Some r -> Ok (r, Disk)
-        | None -> (
-          match exec_uncached req with
-          | Error _ as e -> e
-          | Ok r ->
-            Cache.store ?tenant cfg ~workload ~scheme:label ~seed
-              (run_to_json r);
-            Ok (r, Simulated))
-      in
-      let note_leader leader_tag =
-        if leader_tag <> "" then
-          Option.iter
-            (fun s ->
-              Obs.Span.add_attr s "leader_trace_id" (Obs.Span.Str leader_tag))
-            run_span
-      in
-      match
-        Gpu_util.Single_flight.run_tagged cell_flights flight_key
-          ~tag:(flight_tag ()) compute
-      with
-      | `Led (Error _ as e) -> e
-      | `Joined (leader_tag, (Error _ as e)) ->
-        Obs.Metrics.incr m_coalesced;
-        note_leader leader_tag;
-        e
-      | `Led (Ok (r, source)) ->
-        adopt r;
-        note_source (source_label source);
-        log_run (source_label source) r;
-        Ok (r, source)
-      | `Joined (leader_tag, Ok (r, _)) ->
-        Obs.Metrics.incr m_coalesced;
-        note_leader leader_tag;
-        (* fan-out: this request did no simulation work, but its tenant
-           still gets its own shard entry (so the next cold process hits
-           disk) and its own memo entry.  A shard that already holds the
-           entry — the one the leader just read, when both share a
-           tenant — is left alone. *)
-        if not (Cache.mem ?tenant cfg ~workload ~scheme:label ~seed) then
-          Cache.store ?tenant cfg ~workload ~scheme:label ~seed (run_to_json r);
-        adopt r;
-        note_source (source_label Coalesced);
-        log_run (source_label Coalesced) r;
-        Ok (r, Coalesced))
-  end
+  else
+    match
+      climb cell_ladder ~span ?tenant:req.Request.tenant req.Request.cfg
+        ~workload:w.Workloads.Workload.name ~scheme:(scheme_label scheme) req
+    with
+    | Error _ as e -> e
+    | Ok (r, source) as ok ->
+      add_str span "source" (source_label source);
+      if !progress && source <> Memo then
+        Printf.eprintf "[run] %-12s %-16s %10d cycles  (%s)\n%!" r.workload
+          (scheme_label r.scheme) r.total_cycles (source_label source);
+      ok
 
 (** The single entry point every caller funnels through. *)
 let exec req = Result.map fst (exec_with_source req)
 
-(* --- legacy entry points: flag-free thin wrappers over [exec] -------- *)
-
-let run_result cfg w scheme = exec (Request.make cfg w scheme)
-
-let run_uncached cfg w scheme = exec_uncached (Request.make cfg w scheme)
-
-(** {!run_result}, unwrapped: the one place a preparation failure turns
-    into an exception, carrying the full located diagnostic report. *)
+(** {!exec}, unwrapped: the one place a preparation failure turns into an
+    exception, carrying the full located diagnostic report. *)
 let run cfg w scheme =
-  match run_result cfg w scheme with
+  match exec (Request.make cfg w scheme) with
   | Ok r -> r
   | Error msg -> failwith msg
 
 (* ------------------------------------------------------------------ *)
 (* Co-resident pairs (CIAO direction: two kernels, one SM partition)   *)
 (* ------------------------------------------------------------------ *)
+
+(* co-resident mode accepts only compile-time schemes: runtime throttlers
+   carry per-SM scheduler state the pair mode cannot attribute *)
+let check_static wa sa wb sb =
+  let refuse (w : Workloads.Workload.t) s =
+    Error
+      (Printf.sprintf
+         "co-resident mode requires a compile-time scheme; %s requested %s"
+         w.Workloads.Workload.name (scheme_label s))
+  in
+  if not (Scheme.is_static sa) then refuse wa sa
+  else if not (Scheme.is_static sb) then refuse wb sb
+  else Ok ()
 
 (** Run two workloads co-resident on one simulated GPU: launches are
     zipped in order, each common position co-scheduled through
@@ -746,21 +737,13 @@ let run cfg w scheme =
     kernel's lines.  Both CPU oracles still verify, and every counter
     stays attributed to its kernel.  Only compile-time schemes are
     accepted ({!Scheme.is_static}).  This entry point always simulates;
-    {!run_co_resident} layers the pair-aware cache (memo, disk shard,
-    single flight) on top. *)
+    {!run_co_resident_with_source} layers the pair-aware cache (memo,
+    disk shard, single flight) on top. *)
 let run_co_resident_uncached cfg (wa : Workloads.Workload.t) scheme_a
     (wb : Workloads.Workload.t) scheme_b =
-  let check_static w s =
-    if not (Scheme.is_static s) then
-      Error
-        (Printf.sprintf
-           "co-resident mode requires a compile-time scheme; %s requested %s"
-           w.Workloads.Workload.name (scheme_label s))
-    else Ok ()
-  in
-  match (check_static wa scheme_a, check_static wb scheme_b) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (), Ok () -> (
+  match check_static wa scheme_a wb scheme_b with
+  | Error _ as e -> e
+  | Ok () -> (
     match (prepare_all cfg wa scheme_a, prepare_all cfg wb scheme_b) with
     | Error e, _ | _, Error e -> Error e
     | Ok prep_a, Ok prep_b -> (
@@ -775,18 +758,8 @@ let run_co_resident_uncached cfg (wa : Workloads.Workload.t) scheme_a
       let dev_b = Gpu.create_shared_l2 dev_a in
       wa.Workloads.Workload.setup dev_a (Gpu_util.Rng.create seed);
       wb.Workloads.Workload.setup dev_b (Gpu_util.Rng.create seed);
-      let mk_launch w prepared scheme (l : Workloads.Workload.kernel_launch) =
-        let p = List.assoc l.kernel_name prepared in
-        ( Gpu.default_launch ?smem_carveout:p.carveout
-            ~bypass_arrays:
-              (if scheme = Bypass then
-                 Catt.Bypass.divergent_arrays cfg
-                   (Workloads.Workload.find_kernel w l.kernel_name)
-                   (Workloads.Workload.geometry_of l)
-               else [])
-            ~prog:p.prog ~grid:l.grid ~block:l.block l.args,
-          p.prepared_tlp )
-      in
+      let mk_launch_a = launch_of cfg wa scheme_a prep_a
+      and mk_launch_b = launch_of cfg wb scheme_b prep_b in
       let acc_a : (string * kernel_stats) list ref = ref [] in
       let acc_b : (string * kernel_stats) list ref = ref [] in
       let note acc (l : Workloads.Workload.kernel_launch) tlp stats =
@@ -804,7 +777,7 @@ let run_co_resident_uncached cfg (wa : Workloads.Workload.t) scheme_a
         let base_b =
           List.fold_left
             (fun acc la ->
-              let launch_a, _ = mk_launch wa prep_a scheme_a la in
+              let launch_a, _ = mk_launch_a la in
               max acc
                 (Gpu.args_top dev_a ~base:cfg.Config.line_bytes launch_a))
             cfg.Config.line_bytes wa.Workloads.Workload.launches
@@ -813,8 +786,8 @@ let run_co_resident_uncached cfg (wa : Workloads.Workload.t) scheme_a
           match (las, lbs) with
           | [], [] -> ()
           | la :: ras, lb :: rbs ->
-            let launch_a, tlp_a = mk_launch wa prep_a scheme_a la in
-            let launch_b, tlp_b = mk_launch wb prep_b scheme_b lb in
+            let launch_a, tlp_a = mk_launch_a la in
+            let launch_b, tlp_b = mk_launch_b lb in
             let stats_a, stats_b =
               Gpu.launch_pair ~args_base_b:base_b dev_a launch_a dev_b
                 launch_b
@@ -823,40 +796,21 @@ let run_co_resident_uncached cfg (wa : Workloads.Workload.t) scheme_a
             note acc_b lb tlp_b stats_b;
             go ras rbs
           | la :: ras, [] ->
-            let launch_a, tlp_a = mk_launch wa prep_a scheme_a la in
+            let launch_a, tlp_a = mk_launch_a la in
             let stats, _ = Gpu.launch dev_a launch_a in
             note acc_a la tlp_a stats;
             go ras []
           | [], lb :: rbs ->
-            let launch_b, tlp_b = mk_launch wb prep_b scheme_b lb in
+            let launch_b, tlp_b = mk_launch_b lb in
             let stats, _ = Gpu.launch ~args_base:base_b dev_b launch_b in
             note acc_b lb tlp_b stats;
             go [] rbs
         in
         go wa.Workloads.Workload.launches wb.Workloads.Workload.launches;
         Obs.Metrics.incr m_cells;
-        let mk_run (w : Workloads.Workload.t) scheme prepared acc dev =
-          let kernels_stats = List.map snd !acc in
-          {
-            workload = w.Workloads.Workload.name;
-            scheme;
-            kernels = kernels_stats;
-            total_cycles =
-              List.fold_left
-                (fun t ks -> t + ks.stats.Gpusim.Stats.cycles)
-                0 kernels_stats;
-            verified = w.Workloads.Workload.verify dev;
-            catt_analyses =
-              List.filter_map
-                (fun (name, p) ->
-                  match p.analysis with Some a -> Some (name, a) | None -> None)
-                prepared;
-            manifest = None;
-          }
-        in
         Ok
-          ( mk_run wa scheme_a prep_a acc_a dev_a,
-            mk_run wb scheme_b prep_b acc_b dev_b )
+          ( app_run_of wa scheme_a prep_a acc_a dev_a ~manifest:None,
+            app_run_of wb scheme_b prep_b acc_b dev_b ~manifest:None )
       with Gpu.Launch_error msg -> Error msg))
 
 (* --- pair-aware caching --------------------------------------------- *)
@@ -872,8 +826,7 @@ let pair_to_json (ra, rb) =
       ("b", run_to_json rb);
     ]
 
-let pair_of_json cfg (w1 : Workloads.Workload.t) s1 (w2 : Workloads.Workload.t)
-    s2 json =
+let pair_of_json cfg ((w1, s1), (w2, s2)) json =
   match
     Json.decode
       (fun j ->
@@ -900,7 +853,7 @@ let pair_identity (wa : Workloads.Workload.t) sa (wb : Workloads.Workload.t) sb
     w.Workloads.Workload.name ^ "+" ^ scheme_label s
   in
   let swap = member wb sb < member wa sa in
-  let (w1, s1), (w2, s2) =
+  let (((w1, s1), (w2, s2)) as members) =
     if swap then ((wb, sb), (wa, sa)) else ((wa, sa), (wb, sb))
   in
   let workload_label =
@@ -909,96 +862,57 @@ let pair_identity (wa : Workloads.Workload.t) sa (wb : Workloads.Workload.t) sb
   let scheme_pair_label =
     Printf.sprintf "co(%s,%s)" (scheme_label s1) (scheme_label s2)
   in
-  ((w1, s1), (w2, s2), workload_label, scheme_pair_label, swap)
+  (members, workload_label, scheme_pair_label, swap)
 
-(** Cached co-resident execution: memo, then single flight around the
-    disk shard and the simulation, exactly like {!exec_with_source} for
-    single cells.  The cache key fingerprints BOTH members
+(** Co-resident pairs, in canonical member order: the ladder's second
+    instance. *)
+let pair_ladder =
+  {
+    memo = Hashtbl.create 8;
+    flights = Gpu_util.Single_flight.create ();
+    encode = pair_to_json;
+    decode = pair_of_json;
+    simulate =
+      (fun cfg ((w1, s1), (w2, s2)) -> run_co_resident_uncached cfg w1 s1 w2 s2);
+  }
+
+(** Cached co-resident execution: {!pair_ladder} ({!climb}), exactly as
+    for single cells.  The cache key fingerprints BOTH members
     (order-normalized), so co-resident results persist to disk shards
     and count as hits; a lookup with the members swapped finds the same
     entry and swaps per-kernel attribution back to the caller's order.
     Simulation always runs in canonical member order, so (A, B) and
     (B, A) return bit-identical per-kernel counters on miss as well as
     on hit. *)
-let run_co_resident_with_source ?tenant cfg (wa : Workloads.Workload.t)
-    scheme_a (wb : Workloads.Workload.t) scheme_b =
-  let check_static (w : Workloads.Workload.t) s =
-    if not (Scheme.is_static s) then
-      Error
-        (Printf.sprintf
-           "co-resident mode requires a compile-time scheme; %s requested %s"
-           w.Workloads.Workload.name (scheme_label s))
-    else Ok ()
-  in
-  match (check_static wa scheme_a, check_static wb scheme_b) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (), Ok () -> (
-    let (w1, s1), (w2, s2), workload_label, scheme_pair_label, swap =
+let run_co_resident_with_source ?tenant cfg wa scheme_a wb scheme_b =
+  match check_static wa scheme_a wb scheme_b with
+  | Error msg -> Error msg
+  | Ok () -> (
+    let members, workload, scheme, swap =
       pair_identity wa scheme_a wb scheme_b
     in
-    let orient (r1, r2) = if swap then (r2, r1) else (r1, r2) in
-    let key =
-      memo_key_raw ?tenant cfg ~workload:workload_label
-        ~scheme:scheme_pair_label
-    in
-    match with_lock (fun () -> Hashtbl.find_opt pair_memo key) with
-    | Some pr -> Ok (orient pr, Memo)
-    | None -> (
-      let adopt pr = with_lock (fun () -> Hashtbl.replace pair_memo key pr) in
-      let store pr =
-        Cache.store ?tenant cfg ~workload:workload_label
-          ~scheme:scheme_pair_label ~seed (pair_to_json pr)
-      in
-      let flight_key =
-        memo_key_raw cfg ~workload:workload_label ~scheme:scheme_pair_label
-      in
-      let compute () =
-        let from_disk =
-          match
-            Cache.load ?tenant cfg ~workload:workload_label
-              ~scheme:scheme_pair_label ~seed
-          with
-          | None -> None
-          | Some json -> (
-            match pair_of_json cfg w1 s1 w2 s2 json with
-            | Ok pr -> Some pr
-            | Error _ ->
-              Cache.note_evicted ();
-              None)
-        in
-        match from_disk with
-        | Some pr -> Ok (pr, Disk)
-        | None -> (
-          match run_co_resident_uncached cfg w1 s1 w2 s2 with
-          | Error _ as e -> e
-          | Ok pr ->
-            store pr;
-            Ok (pr, Simulated))
-      in
-      match
-        Gpu_util.Single_flight.run_tagged pair_flights flight_key
-          ~tag:(flight_tag ()) compute
-      with
-      | `Led (Error _ as e) -> e
-      | `Joined (_, (Error _ as e)) ->
-        Obs.Metrics.incr m_coalesced;
-        e
-      | `Led (Ok (pr, source)) ->
-        adopt pr;
-        Ok (orient pr, source)
-      | `Joined (_, Ok (pr, _)) ->
-        Obs.Metrics.incr m_coalesced;
-        (* as for solo cells: store only into a shard that lacks it *)
-        if
-          not
-            (Cache.mem ?tenant cfg ~workload:workload_label
-               ~scheme:scheme_pair_label ~seed)
-        then store pr;
-        adopt pr;
-        Ok (orient pr, Coalesced)))
+    match climb pair_ladder ~span:None ?tenant cfg ~workload ~scheme members with
+    | Error _ as e -> e
+    | Ok (((r1, r2) as pr), source) ->
+      Ok ((if swap then (r2, r1) else pr), source))
 
-let run_co_resident cfg wa scheme_a wb scheme_b =
-  Result.map fst (run_co_resident_with_source cfg wa scheme_a wb scheme_b)
+let flights_in_progress () =
+  Gpu_util.Single_flight.in_flight cell_ladder.flights
+  + Gpu_util.Single_flight.in_flight pair_ladder.flights
+
+(* live gauge: sampled at Metrics.snapshot time, so the admin plane sees
+   the current dedup pressure, not a stale mirror *)
+let () =
+  Obs.Metrics.gauge_fn "runner.flights_in_progress" (fun () ->
+      float_of_int (flights_in_progress ()))
+
+(** Drops every in-process result (the disk cache is untouched) — lets
+    tests exercise the cold-start path of a fresh process. *)
+let clear_memo () =
+  Mutex.lock memo_lock;
+  Hashtbl.reset cell_ladder.memo;
+  Hashtbl.reset pair_ladder.memo;
+  Mutex.unlock memo_lock
 
 (** Fan a (config, workload, scheme) grid out across a domain pool.
     Results come back element-wise in input order, identical to what the
@@ -1027,33 +941,34 @@ let run_many ?(jobs = 1) cells =
 (* Sweeps and BFTT                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* the occupancy of each launch of [w] that fits the device *)
+let launch_occupancies cfg (w : Workloads.Workload.t) =
+  List.filter_map
+    (fun (l : Workloads.Workload.kernel_launch) ->
+      Result.to_option
+        (occupancy cfg
+           (Workloads.Workload.geometry_of l)
+           (Gpusim.Codegen.compile_kernel
+              (Workloads.Workload.find_kernel w l.kernel_name))))
+    w.Workloads.Workload.launches
+
+(* 1, 2, 4, ... up to [n] *)
+let powers_of_two_upto n =
+  let rec from k = if k > n then [] else k :: from (2 * k) in
+  from 1
+
 (** Throttling-factor candidates for one workload, ordered from maximum to
     minimum TLP — the x-axis of Fig. 9 and BFTT's search space.  Warp
     splitting first, then TB reduction, mirroring Eq. 9's phases. *)
 let candidates cfg (w : Workloads.Workload.t) =
   let max_warps, max_tbs =
     List.fold_left
-      (fun (mw, mt) (l : Workloads.Workload.kernel_launch) ->
-        let geo = Workloads.Workload.geometry_of l in
-        let kernel = Workloads.Workload.find_kernel w l.kernel_name in
-        let prog = Gpusim.Codegen.compile_kernel kernel in
-        match
-          Catt.Occupancy.configure cfg
-            ~grid_tbs:(geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y)
-            ~tb_threads:(geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y)
-            ~num_regs:prog.Gpusim.Bytecode.num_regs
-            ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
-        with
-        | Ok occ ->
-          ( max mw occ.Catt.Occupancy.warps_per_tb,
-            max mt occ.Catt.Occupancy.tbs_per_sm )
-        | Error _ -> (mw, mt))
-      (1, 1) w.Workloads.Workload.launches
+      (fun (mw, mt) occ ->
+        ( max mw occ.Catt.Occupancy.warps_per_tb,
+          max mt occ.Catt.Occupancy.tbs_per_sm ))
+      (1, 1) (launch_occupancies cfg w)
   in
-  let rec warp_factors n acc =
-    if n > max_warps then List.rev acc else warp_factors (2 * n) (n :: acc)
-  in
-  let warp_part = List.map (fun n -> (n, 0)) (warp_factors 1 []) in
+  let warp_part = List.map (fun n -> (n, 0)) (powers_of_two_upto max_warps) in
   (* TB-level factors matter most for single-warp TBs (where no warp
      splitting is possible), so allow a deeper sweep there *)
   let tb_range = if max_warps = 1 then 12 else 3 in
@@ -1074,41 +989,26 @@ let sweep cfg w =
 let swl_candidates cfg (w : Workloads.Workload.t) =
   let max_warps =
     List.fold_left
-      (fun acc (l : Workloads.Workload.kernel_launch) ->
-        let geo = Workloads.Workload.geometry_of l in
-        let kernel = Workloads.Workload.find_kernel w l.kernel_name in
-        let prog = Gpusim.Codegen.compile_kernel kernel in
-        match
-          Catt.Occupancy.configure cfg
-            ~grid_tbs:(geo.Catt.Analysis.grid_x * geo.Catt.Analysis.grid_y)
-            ~tb_threads:(geo.Catt.Analysis.block_x * geo.Catt.Analysis.block_y)
-            ~num_regs:prog.Gpusim.Bytecode.num_regs
-            ~shared_bytes:prog.Gpusim.Bytecode.shared_bytes ()
-        with
-        | Ok occ -> max acc occ.Catt.Occupancy.concurrent_warps
-        | Error _ -> acc)
-      1 w.Workloads.Workload.launches
+      (fun acc occ -> max acc occ.Catt.Occupancy.concurrent_warps)
+      1 (launch_occupancies cfg w)
   in
-  let rec limits k acc = if k > max_warps then List.rev acc else limits (2 * k) (k :: acc) in
-  limits 1 []
+  powers_of_two_upto max_warps
 
-(** Best-SWL (Rogers et al., MICRO-45; discussed in the paper's
-    Section 2.2): the best static scheduler-level warp limit, found by
-    exhaustive offline search over per-SM warp counts. *)
-let best_swl cfg w =
-  let runs = List.map (fun k -> (k, run cfg w (Swl k))) (swl_candidates cfg w) in
-  List.fold_left
-    (fun ((_, best) as acc) ((_, r) as cand) ->
-      if r.total_cycles < best.total_cycles then cand else acc)
-    (List.hd runs) (List.tl runs)
-
-(** BFTT: the best-performing fixed combination, found by exhaustive
-    offline search (paper Section 5: "best-fixed thread throttling"). *)
-let bftt cfg w =
-  match sweep cfg w with
-  | [] -> invalid_arg "Runner.bftt: no candidates"
+(* the (candidate, run) with the fewest total cycles, earliest on a tie *)
+let fewest_cycles = function
+  | [] -> invalid_arg "Runner.fewest_cycles: no candidates"
   | first :: rest ->
     List.fold_left
       (fun ((_, best) as acc) ((_, r) as cand) ->
         if r.total_cycles < best.total_cycles then cand else acc)
       first rest
+
+(** Best-SWL (Rogers et al., MICRO-45; discussed in the paper's
+    Section 2.2): the best static scheduler-level warp limit, found by
+    exhaustive offline search over per-SM warp counts. *)
+let best_swl cfg w =
+  fewest_cycles (List.map (fun k -> (k, run cfg w (Swl k))) (swl_candidates cfg w))
+
+(** BFTT: the best-performing fixed combination, found by exhaustive
+    offline search (paper Section 5: "best-fixed thread throttling"). *)
+let bftt cfg w = fewest_cycles (sweep cfg w)

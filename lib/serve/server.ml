@@ -195,6 +195,16 @@ let take_source () =
   s
 
 let handle_simulate cfg tenant (b : Protocol.simulate_body) : outcome =
+  (* a ladder answer: everything but a simulation is served from cache *)
+  let answer source payload : outcome =
+    note_source source;
+    let cached =
+      match source with
+      | Runner.Memo | Runner.Disk | Runner.Coalesced -> true
+      | Runner.Simulated -> false
+    in
+    Ok (payload, cached)
+  in
   match find_workload b.Protocol.workload with
   | Error _ as e -> e
   | Ok w -> (
@@ -204,14 +214,7 @@ let handle_simulate cfg tenant (b : Protocol.simulate_body) : outcome =
         Runner.exec_with_source (Runner.Request.make ~tenant cfg w b.Protocol.scheme)
       with
       | Error msg -> Error (Protocol.Bad_request, msg)
-      | Ok (r, source) ->
-        let cached =
-          match source with
-          | Runner.Memo | Runner.Disk | Runner.Coalesced -> true
-          | Runner.Simulated -> false
-        in
-        note_source source;
-        Ok (run_summary r, cached))
+      | Ok (r, source) -> answer source (run_summary r))
     | Some (name_b, scheme_b) -> (
       match find_workload name_b with
       | Error _ as e -> e
@@ -224,20 +227,13 @@ let handle_simulate cfg tenant (b : Protocol.simulate_body) : outcome =
         | Ok ((ra, rb), source) ->
           (* pair results are cached under an order-normalized key, so a
              repeat — even with the members swapped — is a hit *)
-          let cached =
-            match source with
-            | Runner.Memo | Runner.Disk | Runner.Coalesced -> true
-            | Runner.Simulated -> false
-          in
-          note_source source;
-          Ok
-            ( Json.Obj
-                [
-                  ("co_resident", Json.Bool true);
-                  ("a", run_summary ra);
-                  ("b", run_summary rb);
-                ],
-              cached ))))
+          answer source
+            (Json.Obj
+               [
+                 ("co_resident", Json.Bool true);
+                 ("a", run_summary ra);
+                 ("b", run_summary rb);
+               ]))))
 
 let stats_version = 1
 (** Version of the [stats] response envelope (independent of the wire

@@ -95,7 +95,7 @@ let test_parallel_sweep_matches_sequential () =
   let sequential =
     List.map
       (fun (cfg, w, s) ->
-        match Runner.run_uncached cfg w s with
+        match Runner.exec_uncached (Runner.Request.make cfg w s) with
         | Ok r -> r
         | Error msg -> Alcotest.fail msg)
       sweep_cells
@@ -124,7 +124,7 @@ let test_json_round_trip () =
   List.iter
     (fun scheme ->
       let r =
-        match Runner.run_uncached cfg w scheme with
+        match Runner.exec_uncached (Runner.Request.make cfg w scheme) with
         | Ok r -> r
         | Error msg -> Alcotest.fail msg
       in
@@ -137,7 +137,7 @@ let test_json_round_trip_through_text () =
   (* the same round trip, but through the actual on-disk representation *)
   let w = Workloads.Registry.find "BT" in
   let r =
-    match Runner.run_uncached cfg w Runner.Baseline with
+    match Runner.exec_uncached (Runner.Request.make cfg w Runner.Baseline) with
     | Ok r -> r
     | Error msg -> Alcotest.fail msg
   in
@@ -278,20 +278,158 @@ let test_warm_second_run_hits_cache () =
       let third = Runner.run cfg w scheme in
       check_run_equal "recomputed after clear" first third)
 
+(* Every state a disk entry can be in, for both instances of the runner's
+   cache ladder.  Only an entry that decodes is a hit; an absent one is a
+   miss, and any other is a miss and an eviction; both simulate the cell
+   again and store it valid.  Each state maps the last valid entry's text
+   to what the file holds ([None]: no file). *)
+let entry_states =
+  let rewrite f text =
+    match Json.of_string text with
+    | Ok j -> Json.to_string (f j)
+    | Error msg -> Alcotest.failf "valid entry does not parse: %s" msg
+  in
+  let rec drop_kernels = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) -> if k = "kernels" then None else Some (k, drop_kernels v))
+           fields)
+    | j -> j
+  in
+  let stale = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "version" then (k, Json.Int (Json.to_int v - 1)) else (k, v))
+           fields)
+    | j -> j
+  in
+  [
+    ("absent", `Miss, fun _ -> None);
+    ("valid", `Hit, fun valid -> Some valid);
+    ("corrupt", `Evicted, fun _ -> Some "{ not json");
+    ( "truncated",
+      `Evicted,
+      fun valid -> Some (String.sub valid 0 (String.length valid / 2)) );
+    ("empty", `Evicted, fun _ -> Some "");
+    ("stale version", `Evicted, fun valid -> Some (rewrite stale valid));
+    ("wrong shape: a list", `Evicted, fun _ -> Some "[1,2,3]");
+    ("wrong shape: no kernels", `Evicted, fun valid -> Some (rewrite drop_kernels valid));
+  ]
+
+(* [climb] answers the cell through the ladder as (payload JSON, source);
+   [fresh] is a fresh simulation's payload; [decodes] is the ladder's own
+   decoder *)
+let check_entry_states instance ~file ~climb ~fresh ~decodes =
+  let valid = ref "" in
+  List.iter
+    (fun (state, outcome, content) ->
+      let what = Printf.sprintf "%s, %s entry" instance state in
+      (match content !valid with
+      | None -> if Sys.file_exists file then Sys.remove file
+      | Some text ->
+        Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc text));
+      Runner.clear_memo ();
+      let c0 = Cache.stats () and sim0 = Runner.simulated_total () in
+      let payload, source = climb () in
+      let c1 = Cache.stats () and sim1 = Runner.simulated_total () in
+      let hit = outcome = `Hit and one b = if b then 1 else 0 in
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": counter deltas")
+        [
+          ("hits", one hit); ("misses", one (not hit)); ("evictions", one (outcome = `Evicted));
+          ("stores", one (not hit)); ("simulated", one (not hit));
+        ]
+        [
+          ("hits", c1.Cache.hits - c0.Cache.hits);
+          ("misses", c1.Cache.misses - c0.Cache.misses);
+          ("evictions", c1.Cache.evictions - c0.Cache.evictions);
+          ("stores", c1.Cache.stores - c0.Cache.stores);
+          ("simulated", sim1 - sim0);
+        ];
+      Alcotest.(check bool) (what ^ ": source") true
+        (source = if hit then Runner.Disk else Runner.Simulated);
+      Alcotest.(check string) (what ^ ": answer equals a fresh simulation")
+        (Json.to_string fresh) (Json.to_string payload);
+      let text = In_channel.with_open_bin file In_channel.input_all in
+      (match Json.of_string text with
+      | Ok json when decodes json -> ()
+      | Ok _ | Error _ -> Alcotest.failf "%s: the rewritten entry does not decode" what);
+      valid := text)
+    entry_states
+
 let test_corrupt_cache_entry_is_recomputed () =
   with_temp_cache (fun () ->
       let cfg = Gpusim.Config.scaled ~num_sms:2 ~onchip_bytes:(16 * 1024) () in
-      let w = Workloads.Registry.find "BT" in
-      let first = Runner.run cfg w Runner.Baseline in
-      let file =
-        Cache.path cfg ~workload:w.Workloads.Workload.name
-          ~scheme:(Runner.scheme_label Runner.Baseline) ~seed:Runner.seed
+      let ok = function Ok v -> v | Error msg -> Alcotest.fail msg in
+      (* the simulated payload: a manifest records wall time, not results *)
+      let payload (r : Runner.app_run) =
+        Runner.run_to_json { r with Runner.manifest = None }
       in
-      Out_channel.with_open_bin file (fun oc ->
-          Out_channel.output_string oc "{ not json");
-      Runner.clear_memo ();
-      let second = Runner.run cfg w Runner.Baseline in
-      check_run_equal "recomputed, not crashed" first second)
+      let bt = Workloads.Registry.find "BT" and atax = Workloads.Registry.find "ATAX" in
+      let req = Runner.Request.make cfg bt Runner.Baseline in
+      check_entry_states "cell"
+        ~file:
+          (Cache.path cfg ~workload:"BT"
+             ~scheme:(Runner.scheme_label Runner.Baseline) ~seed:Runner.seed)
+        ~climb:(fun () ->
+          let r, source = ok (Runner.exec_with_source req) in
+          (payload r, source))
+        ~fresh:(payload (ok (Runner.exec_uncached req)))
+        ~decodes:(fun json ->
+          Result.is_ok (Runner.cell_ladder.Runner.decode cfg req json));
+      (* members already in canonical order, so the uncached run is the
+         one the ladder simulates *)
+      let members, workload, scheme, swap =
+        Runner.pair_identity atax Runner.Baseline bt Runner.Baseline
+      in
+      Alcotest.(check bool) "pair members in canonical order" false swap;
+      let pair_payload (ra, rb) = Json.List [ payload ra; payload rb ] in
+      check_entry_states "pair"
+        ~file:(Cache.path cfg ~workload ~scheme ~seed:Runner.seed)
+        ~climb:(fun () ->
+          let pr, source =
+            ok
+              (Runner.run_co_resident_with_source cfg atax Runner.Baseline bt
+                 Runner.Baseline)
+          in
+          (pair_payload pr, source))
+        ~fresh:
+          (pair_payload
+             (ok
+                (Runner.run_co_resident_uncached cfg atax Runner.Baseline bt
+                   Runner.Baseline)))
+        ~decodes:(fun json ->
+          Result.is_ok (Runner.pair_ladder.Runner.decode cfg members json)))
+
+(* Two domains storing one key over and over: every rename publishes a
+   whole entry, so the survivor decodes, and no temp file is left. *)
+let test_two_writers_one_key () =
+  with_temp_cache (fun () ->
+      let cfg = Gpusim.Config.scaled ~num_sms:2 ~onchip_bytes:(16 * 1024) () in
+      let pad = String.make 8192 'x' in
+      let writer i =
+        Domain.spawn (fun () ->
+            for _ = 1 to 200 do
+              Cache.store cfg ~workload:"W" ~scheme:"S" ~seed:1
+                (Json.Obj [ ("writer", Json.Int i); ("pad", Json.String pad) ])
+            done)
+      in
+      List.iter Domain.join [ writer 1; writer 2 ];
+      let decode =
+        Json.decode (fun j ->
+            (Json.to_int (Json.member "writer" j), Json.to_str (Json.member "pad" j)))
+      in
+      (match Cache.find cfg ~workload:"W" ~scheme:"S" ~seed:1 decode with
+      | Some ((1 | 2), p) when p = pad -> ()
+      | Some _ | None -> Alcotest.fail "the entry is not one writer's whole value");
+      let dir = Filename.dirname (Cache.path cfg ~workload:"W" ~scheme:"S" ~seed:1) in
+      Alcotest.(check (list string)) "no temp file left" []
+        (List.filter
+           (fun f -> Filename.check_suffix f ".tmp")
+           (Array.to_list (Sys.readdir dir))))
 
 (* A failed store publishes nothing, leaves no temp file and raises
    nothing: it only counts [cache.store_errors]. *)
@@ -354,6 +492,7 @@ let tests =
           test_fingerprint_sensitive_to_every_field;
         Alcotest.test_case "second run hits cache" `Quick test_warm_second_run_hits_cache;
         Alcotest.test_case "corrupt entry recomputed" `Quick test_corrupt_cache_entry_is_recomputed;
+        Alcotest.test_case "two writers on one key" `Quick test_two_writers_one_key;
         Alcotest.test_case "store on a full disk" `Quick test_store_full_disk;
         Alcotest.test_case "store whose rename fails" `Quick test_store_rename_fails;
       ] );

@@ -977,7 +977,7 @@ let test_co_resident_cache_roundtrip () =
     (Runner.simulated_total () - sim0);
   (* the entry landed in the tenant's shard under the order-normalized
      pair identity *)
-  let (_, _), (_, _), workload_label, scheme_pair_label, swap =
+  let _, workload_label, scheme_pair_label, swap =
     Runner.pair_identity wa Scheme.Baseline wb Scheme.Catt
   in
   Alcotest.(check bool) "ATAX+baseline sorts first" false swap;
@@ -1133,7 +1133,7 @@ let test_joiner_restore_skipped () =
   let got = Array.make (Array.length tenants) None in
   let threads = ref [] in
   let lead =
-    Gpu_util.Single_flight.run_tagged Runner.cell_flights key ~tag:""
+    Gpu_util.Single_flight.run_tagged Runner.cell_ladder.Runner.flights key ~tag:""
       (fun () ->
         threads :=
           List.init (Array.length tenants) (fun i ->
@@ -1141,7 +1141,7 @@ let test_joiner_restore_skipped () =
                 (fun () -> got.(i) <- Some (Runner.exec_with_source (req tenants.(i))))
                 ());
         while
-          Gpu_util.Single_flight.joined Runner.cell_flights key
+          Gpu_util.Single_flight.joined Runner.cell_ladder.Runner.flights key
           < Array.length tenants
         do
           Thread.yield ()
