@@ -313,11 +313,12 @@ let explain_cmd =
   let run name as_json onchip sms =
     let cfg = config ~onchip_kb:onchip ~sms in
     let w = find_workload name in
+    let analyses = Experiments.Explain.analyses cfg w in
     if as_json then
       print_endline
         (Gpu_util.Json.to_string ~pretty:true
-           (Experiments.Explain.workload_to_json cfg w))
-    else print_string (Experiments.Explain.render cfg w)
+           (Experiments.Explain.to_json cfg w analyses))
+    else print_string (Experiments.Explain.to_text cfg w analyses)
   in
   Cmd.v
     (Cmd.info "explain"

@@ -50,10 +50,11 @@ let run artifact_ids jobs onchip_kb sms no_cache quiet =
   let cs = Experiments.Cache.stats () in
   Printf.printf
     "summary: cache %d hits / %d misses / %d evicted / %d stored; %d cells \
-     simulated (%.2f cells/sec)\n"
+     simulated, %d reused (%.2f cells/sec)\n"
     cs.Experiments.Cache.hits cs.Experiments.Cache.misses
     cs.Experiments.Cache.evictions cs.Experiments.Cache.stores
     (Obs.Metrics.value (Obs.Metrics.counter "sim.cells"))
+    (Experiments.Runner.reused_total ())
     (let uptime_us =
        match List.assoc_opt "process.uptime_us" (Obs.Metrics.snapshot ()) with
        | Some (Obs.Metrics.Count us) -> float_of_int us

@@ -10,6 +10,12 @@
     selects a different file, which is the whole invalidation story.
     After simulator-code changes, delete the directory.
 
+    Beside the entries, each shard keeps a launch index: one small
+    [<launch key>.launch] file per {!launch_key}, naming the entry that
+    was simulated under it, so a cell of another scheme that compiles to
+    the same launch sequence can be answered from that entry
+    ({!find_launch}).
+
     The module is deliberately generic — it stores {!Gpu_util.Json}
     values by key; {!Runner} owns the [app_run] <-> JSON conversion.
     Loads and stores are safe to call from pool workers: writes go to a
@@ -42,7 +48,8 @@ let m_evictions = Obs.Metrics.counter "cache.evictions"
 
 let m_store_errors = Obs.Metrics.counter "cache.store_errors"
 (** Stores that failed (a full disk, a directory in the entry's way):
-    nothing is published and the cell is simply not cached. *)
+    nothing is published and the cell (or its launch-index record) is
+    simply not cached. *)
 
 type stats = { hits : int; misses : int; stores : int; evictions : int }
 
@@ -114,11 +121,58 @@ let config_fingerprint (c : Config.t) =
       Printf.sprintf "issue_width=%d" issue_width;
     ]
 
+(* The configs fingerprinted so far, newest first.  Readers never lock:
+   the list is immutable and swapped in whole, and a writer that loses
+   the race retries.  A process sees a handful of configs; the bound
+   keeps one that cycles through many from growing the list. *)
+let fingerprints : (Config.t * string) list Atomic.t = Atomic.make []
+let max_fingerprints = 16
+
+(* [""] when absent: a fingerprint is never empty *)
+let rec lookup cfg = function
+  | [] -> ""
+  | (c, fp) :: rest -> if c == cfg || c = cfg then fp else lookup cfg rest
+
+(** {!config_fingerprint}, built once per distinct config. *)
+let fingerprint cfg =
+  match lookup cfg (Atomic.get fingerprints) with
+  | "" ->
+    let fp = config_fingerprint cfg in
+    let rec publish () =
+      let seen = Atomic.get fingerprints in
+      if lookup cfg seen = "" then begin
+        let kept = List.filteri (fun i _ -> i < max_fingerprints - 1) seen in
+        if not (Atomic.compare_and_set fingerprints seen ((cfg, fp) :: kept))
+        then publish ()
+      end
+    in
+    publish ();
+    fp
+  | fp -> fp
+
+(** Drops the fingerprints built so far (they are rebuilt on demand). *)
+let forget_fingerprints () = Atomic.set fingerprints []
+
 let key cfg ~workload ~scheme ~seed =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "%s|workload=%s|scheme=%s|seed=%d"
-          (config_fingerprint cfg) workload scheme seed))
+       (String.concat ""
+          [
+            fingerprint cfg; "|workload="; workload; "|scheme="; scheme;
+            "|seed="; string_of_int seed;
+          ]))
+
+(** The identity of a launch sequence, whatever scheme compiled it: the
+    config, the workload (whose inputs and oracle the cell runs), the
+    input seed, and one {!Gpusim.Gpu.launch_digest} per launch, in
+    order.  Two cells with one launch key simulate to the same counters
+    and the same verdict. *)
+let launch_key cfg ~workload ~seed digests =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (fingerprint cfg :: "|workload=" :: workload :: "|seed="
+          :: string_of_int seed :: "|launches=" :: digests)))
 
 (* file names stay human-scannable: workload and scheme first, hash last *)
 let sanitize label =
@@ -209,32 +263,81 @@ let load ?tenant cfg ~workload ~scheme ~seed =
 let mem ?tenant cfg ~workload ~scheme ~seed =
   !enabled && Sys.file_exists (path ?tenant cfg ~workload ~scheme ~seed)
 
+(* Publishes what [write] puts out at [file], whole or not at all: the
+   final flush runs inside the protected region, so a short write never
+   reaches the rename, and the temp file is removed on any failure,
+   which is counted in [cache.store_errors] rather than raised. *)
+let publish file write =
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ()) (Domain.self () :> int)
+  in
+  try
+    mkdir_p (Filename.dirname file);
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        write oc;
+        close_out oc);
+    Sys.rename tmp file;
+    true
+  with Sys_error _ | Unix.Unix_error _ ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Obs.Metrics.incr m_store_errors;
+    false
+
+(* ------------------------------------------------------------------ *)
+(* The launch index                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One small file per launch key in the shard, holding the name of the
+   entry simulated under that key: a name, never a second copy. *)
+let index_path ?tenant launch_key =
+  Filename.concat (shard_dir ?tenant ()) (launch_key ^ ".launch")
+
+(** The entry the shard's index names for [launch_key], decoded by
+    [decode] (which checks that the entry really carries the key).  Any
+    failure on the way — no index record, a record that is not an entry
+    name, an entry that is absent, unreadable or refused by [decode] — is
+    [None]; the caller simulates and its store replaces the record.  The
+    [cache.*] counters describe the cell's own entry and are left alone. *)
+let find_launch ?tenant launch_key decode =
+  if not !enabled then None
+  else
+    match read_file (index_path ?tenant launch_key) with
+    | exception Sys_error _ -> None
+    | name when name = "" || sanitize name <> name
+                || not (Filename.check_suffix name ".json") ->
+      None
+    | name -> (
+      match
+        Result.bind
+          (Json.of_string (read_file (Filename.concat (shard_dir ?tenant ()) name)))
+          decode
+      with
+      | Ok v -> Some v
+      | Error _ | (exception Sys_error _) -> None)
+
 (** Best effort: the caller's result is already computed, so a failed
-    write is counted in [cache.store_errors] instead of raised.  The
-    final flush runs inside the protected region, so a short write never
-    reaches the rename and is never published; the temp file is removed
-    on any failure. *)
-let store ?tenant cfg ~workload ~scheme ~seed json =
+    write is counted in [cache.store_errors] instead of raised, and
+    nothing is published.  With [launch_key], the shard's index then
+    names this entry for that key ({!find_launch}). *)
+let store ?tenant ?launch_key cfg ~workload ~scheme ~seed json =
   if !enabled then begin
     let file = path ?tenant cfg ~workload ~scheme ~seed in
-    let tmp =
-      Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
-        (Domain.self () :> int)
+    let entry oc =
+      output_string oc (Json.to_string ~pretty:true json);
+      output_char oc '\n'
     in
-    try
-      mkdir_p (Filename.dirname file);
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Json.to_string ~pretty:true json);
-          output_char oc '\n';
-          close_out oc);
-      Sys.rename tmp file;
-      Obs.Metrics.incr m_stores
-    with Sys_error _ | Unix.Unix_error _ ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      Obs.Metrics.incr m_store_errors
+    if publish file entry then begin
+      Obs.Metrics.incr m_stores;
+      Option.iter
+        (fun k ->
+          ignore
+            (publish (index_path ?tenant k) (fun oc ->
+                 output_string oc (Filename.basename file))))
+        launch_key
+    end
   end
 
 let clear () =
@@ -242,7 +345,9 @@ let clear () =
     if Sys.file_exists d && Sys.is_directory d then
       Array.iter
         (fun entry ->
-          if Filename.check_suffix entry ".json" then
+          if Filename.check_suffix entry ".json"
+             || Filename.check_suffix entry ".launch"
+          then
             try Sys.remove (Filename.concat d entry) with Sys_error _ -> ())
         (Sys.readdir d)
   in

@@ -1,29 +1,32 @@
 (** Workload-level decision provenance: run the CATT pass over every
     kernel of a registered workload (at its real launch geometries) and
     collect each kernel's {!Catt.Explain} record.  Shared by the
-    [catt_cli explain] subcommand and the golden explain test, so what
-    the test pins is exactly what the CLI prints. *)
+    [catt_cli explain] subcommand, serve's explain request and the golden
+    explain test, so what the test pins is exactly what the CLI prints.
+    Callers run the pass once ({!analyses}) and render either form, or
+    both, from its result. *)
 
 module Json = Gpu_util.Json
 
 let analyses cfg (w : Workloads.Workload.t) =
   Runner.analyses_for cfg w Runner.Catt
 
-let workload_to_json cfg (w : Workloads.Workload.t) =
+(** The provenance record of [w] from its kernels' [analyses]. *)
+let to_json cfg (w : Workloads.Workload.t) analyses =
   Json.Obj
     [
       ("workload", Json.String w.Workloads.Workload.name);
       ( "kernels",
-        Json.List
-          (List.map (fun (_, t) -> Catt.Explain.to_json cfg t) (analyses cfg w))
+        Json.List (List.map (fun (_, t) -> Catt.Explain.to_json cfg t) analyses)
       );
     ]
 
-let render cfg (w : Workloads.Workload.t) =
+(** The human rendering of [w] from its kernels' [analyses]. *)
+let to_text cfg (w : Workloads.Workload.t) analyses =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "== %s under CATT ==\n" w.Workloads.Workload.name);
-  (match analyses cfg w with
+  (match analyses with
   | [] -> Buffer.add_string buf "no kernel could be analyzed\n"
   | kernels ->
     List.iter

@@ -22,17 +22,21 @@ type t = {
   wall_seconds : float;  (** simulation wall time, not cache-load time *)
   obs_enabled : bool;  (** was span tracing on during the run *)
   metrics : (string * Obs.Metrics.value) list;  (** sorted by name *)
+  launch_key : string option;
+      (** the {!Cache.launch_key} of the launch sequence behind the
+          counters; the shard's launch index names entries by it *)
 }
 
-let make cfg ~workload ~scheme ~seed ~wall_seconds =
+let make ?launch_key cfg ~workload ~scheme ~seed ~wall_seconds =
   {
-    fingerprint = Digest.to_hex (Digest.string (Cache.config_fingerprint cfg));
+    fingerprint = Digest.to_hex (Digest.string (Cache.fingerprint cfg));
     workload;
     scheme;
     seed;
     wall_seconds;
     obs_enabled = !Obs.Span.enabled;
     metrics = Obs.Metrics.snapshot ();
+    launch_key;
   }
 
 let metric_to_json = function
@@ -50,7 +54,7 @@ let metric_to_json = function
 
 let to_json m =
   Json.Obj
-    [
+    ([
       ("manifest_version", Json.Int manifest_version);
       ("fingerprint", Json.String m.fingerprint);
       ("workload", Json.String m.workload);
@@ -61,6 +65,10 @@ let to_json m =
       ( "metrics",
         Json.Obj (List.map (fun (k, v) -> (k, metric_to_json v)) m.metrics) );
     ]
+    @
+    match m.launch_key with
+    | Some k -> [ ("launch_key", Json.String k) ]
+    | None -> [])
 
 let of_json json =
   Json.decode
@@ -99,5 +107,6 @@ let of_json json =
                   | _ -> raise (Json.Type_error "metric must be a number") ))
               fields
           | _ -> raise (Json.Type_error "metrics must be an object"));
+        launch_key = Option.map Json.to_str (Json.member_opt "launch_key" j);
       })
     json

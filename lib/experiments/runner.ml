@@ -11,7 +11,9 @@
     Every run re-seeds the workload's inputs identically, executes the full
     launch sequence on a fresh device, and checks the CPU oracle — so a
     miscompiled transformation fails loudly rather than producing a fast
-    wrong answer.  Results are memoized per (config, workload, scheme). *)
+    wrong answer.  Results are memoized per (config, workload, scheme),
+    and a cell whose scheme compiles to a launch sequence its cache shard
+    already simulated is answered from that entry (the launch index). *)
 
 module Config = Gpusim.Config
 module Gpu = Gpusim.Gpu
@@ -91,10 +93,12 @@ module Request = struct
     r.trace || r.profile || r.timeline || Option.is_some r.on_device
 end
 
-(** Where {!exec_with_source} found the result.  [Coalesced] marks a
-    request that joined an identical in-flight computation (the
-    single-flight table) and received the leader's result without
-    simulating — served without simulation work, like a memo hit. *)
+(** Where {!exec_with_source} found the result.  [Disk] covers the
+    cell's own entry and an entry simulated under the same launch key.
+    [Coalesced] marks a request that joined an identical in-flight
+    computation (the single-flight table) and received the leader's
+    result without simulating — served without simulation work, like a
+    memo hit. *)
 type source = Memo | Disk | Simulated | Coalesced
 
 let source_label = function
@@ -347,19 +351,17 @@ let launch_of ?(trace = false) ?profile cfg (w : Workloads.Workload.t) scheme
       ~prog:p.prog ~grid:l.grid ~block:l.block ?profile l.args,
     p.prepared_tlp )
 
-(* the run whose launches noted their stats into [acc], verified against
-   the final device state *)
-let app_run_of (w : Workloads.Workload.t) scheme prepared acc dev ~manifest =
-  let kernels_stats = List.map snd !acc in
+(* the run of [kernels] (launch order, deduplicated by name) with its
+   verdict; tlp and analyses are the cell's own preparation *)
+let app_run_of (w : Workloads.Workload.t) scheme prepared kernels ~verified
+    ~manifest =
   {
     workload = w.Workloads.Workload.name;
     scheme;
-    kernels = kernels_stats;
+    kernels;
     total_cycles =
-      List.fold_left
-        (fun t ks -> t + ks.stats.Gpusim.Stats.cycles)
-        0 kernels_stats;
-    verified = w.Workloads.Workload.verify dev;
+      List.fold_left (fun t ks -> t + ks.stats.Gpusim.Stats.cycles) 0 kernels;
+    verified;
     catt_analyses =
       List.filter_map
         (fun (name, p) ->
@@ -368,63 +370,59 @@ let app_run_of (w : Workloads.Workload.t) scheme prepared acc dev ~manifest =
     manifest;
   }
 
-let exec_uncached (req : Request.t) =
-  let { Request.cfg; workload = w; scheme; trace; profile; timeline; tenant = _;
-        on_device } =
-    req
-  in
-  Obs.Span.with_span "runner.simulate"
-    ~attrs:
-      [
-        ("workload", Obs.Span.Str w.Workloads.Workload.name);
-        ("scheme", Obs.Span.Str (scheme_label scheme));
-      ]
-  @@ fun _ ->
-  let started = Unix.gettimeofday () in
-  (* one collector per kernel name: repeated launches of the same kernel
-     aggregate into it, matching how stats accumulate *)
-  let collectors : (string, Profile.Collector.t) Hashtbl.t = Hashtbl.create 4 in
-  let collector_for name =
-    if not profile then None
-    else
-      Some
-        (match Hashtbl.find_opt collectors name with
-        | Some c -> c
-        | None ->
-          let c = Profile.Collector.create () in
-          if timeline then Profile.Collector.enable_timeline c;
-          Hashtbl.add collectors name c;
-          c)
-  in
-  match prepare_all cfg w scheme with
-  | Error _ as e -> e
-  | Ok prepared ->
-  let dev = Gpu.create cfg in
-  w.Workloads.Workload.setup dev (Gpu_util.Rng.create seed);
-  let acc : (string * kernel_stats) list ref = ref [] in
-  List.iter
+(* the run whose launches noted their stats into [acc], verified against
+   the final device state *)
+let verified_run_of (w : Workloads.Workload.t) scheme prepared acc dev ~manifest
+    =
+  app_run_of w scheme prepared (List.map snd !acc)
+    ~verified:(w.Workloads.Workload.verify dev) ~manifest
+
+(** [w]'s launch sequence under [scheme]: each launch with its kernel's
+    name and prepared TLP, in order. *)
+let launches_of ?(trace = false) ?(collector_for = fun _ -> None) cfg
+    (w : Workloads.Workload.t) scheme prepared =
+  List.map
     (fun (l : Workloads.Workload.kernel_launch) ->
       let launch, tlp =
         launch_of ~trace ?profile:(collector_for l.kernel_name) cfg w scheme
           prepared l
       in
+      (l.kernel_name, launch, tlp))
+    w.Workloads.Workload.launches
+
+(** The {!Cache.launch_key} of a launch sequence; [None] when a launch
+    cannot be rendered (a carveout {!Gpu.launch} refuses, which the
+    simulation then reports). *)
+let launch_key_of cfg (w : Workloads.Workload.t) launches =
+  match List.map (fun (_, l, _) -> Gpu.launch_digest cfg l) launches with
+  | digests ->
+    Some (Cache.launch_key cfg ~workload:w.Workloads.Workload.name ~seed digests)
+  | exception Gpu.Launch_error _ -> None
+
+(* Run a prepared launch sequence on a fresh device from the input seed,
+   verify it, and hand the final device state to [on_device] (e.g. to
+   digest the memory image for the golden-grid bit-identity snapshots)
+   before it goes out of scope. *)
+let simulate ?on_device ~trace ~launch_key ~started cfg
+    (w : Workloads.Workload.t) scheme prepared launches =
+  let dev = Gpu.create cfg in
+  w.Workloads.Workload.setup dev (Gpu_util.Rng.create seed);
+  let acc : (string * kernel_stats) list ref = ref [] in
+  List.iter
+    (fun (name, launch, tlp) ->
       let stats, tr = Gpu.launch dev launch in
-      note_kernel acc ~name:l.kernel_name ~tlp
+      note_kernel acc ~name ~tlp
         ~trace:(if trace then Some tr else None)
-        ~profile:(collector_for l.kernel_name)
-        stats)
-    w.Workloads.Workload.launches;
-  (* observe the final device state (e.g. digest the memory image for the
-     golden-grid bit-identity snapshots) before it goes out of scope *)
+        ~profile:launch.Gpu.profile stats)
+    launches;
   (match on_device with Some f -> f dev | None -> ());
   Obs.Metrics.incr m_cells;
-  Ok
-    (app_run_of w scheme prepared acc dev
-       ~manifest:
-         (Some
-            (Manifest.make cfg ~workload:w.Workloads.Workload.name
-               ~scheme:(scheme_label scheme) ~seed
-               ~wall_seconds:(Unix.gettimeofday () -. started))))
+  verified_run_of w scheme prepared acc dev
+    ~manifest:
+      (Some
+         (Manifest.make ?launch_key cfg ~workload:w.Workloads.Workload.name
+            ~scheme:(scheme_label scheme) ~seed
+            ~wall_seconds:(Unix.gettimeofday () -. started)))
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip (the persistent cache's wire format)                *)
@@ -485,46 +483,54 @@ let analyses_for cfg (w : Workloads.Workload.t) scheme =
   | Ciao | Ata ->
     []
 
+(* the simulated payload of an entry of [w] in the current format:
+   per-kernel stats with the stored tlp, and the verdict *)
+let payload_of_json (w : Workloads.Workload.t) j =
+  if Json.to_int (Json.member "version" j) <> cache_format_version then
+    raise (Json.Type_error "stale cache format");
+  if Json.to_str (Json.member "workload" j) <> w.Workloads.Workload.name then
+    raise (Json.Type_error "workload mismatch");
+  let kernels =
+    List.map
+      (fun kj ->
+        let stats =
+          match Gpusim.Stats.of_json (Json.member "stats" kj) with
+          | Ok s -> s
+          | Error msg -> raise (Json.Type_error msg)
+        in
+        let tlp =
+          match Json.to_list (Json.member "tlp" kj) with
+          | [ a; b ] -> (Json.to_int a, Json.to_int b)
+          | _ -> raise (Json.Type_error "tlp must be a pair")
+        in
+        {
+          kernel_name = Json.to_str (Json.member "kernel" kj);
+          stats;
+          tlp;
+          trace = None;
+          profile = None;
+        })
+      (Json.to_list (Json.member "kernels" j))
+  in
+  let verified =
+    match Json.member "verified" j with
+    | Json.Null -> Ok ()
+    | v -> Error (Json.to_str v)
+  in
+  (kernels, verified)
+
 let run_of_json cfg (w : Workloads.Workload.t) scheme json =
   Json.decode
     (fun j ->
-      if Json.to_int (Json.member "version" j) <> cache_format_version then
-        raise (Json.Type_error "stale cache format");
-      if Json.to_str (Json.member "workload" j) <> w.Workloads.Workload.name then
-        raise (Json.Type_error "workload mismatch");
+      let kernels, verified = payload_of_json w j in
       if Json.to_str (Json.member "scheme" j) <> scheme_label scheme then
         raise (Json.Type_error "scheme mismatch");
-      let kernels =
-        List.map
-          (fun kj ->
-            let stats =
-              match Gpusim.Stats.of_json (Json.member "stats" kj) with
-              | Ok s -> s
-              | Error msg -> raise (Json.Type_error msg)
-            in
-            let tlp =
-              match Json.to_list (Json.member "tlp" kj) with
-              | [ a; b ] -> (Json.to_int a, Json.to_int b)
-              | _ -> raise (Json.Type_error "tlp must be a pair")
-            in
-            {
-              kernel_name = Json.to_str (Json.member "kernel" kj);
-              stats;
-              tlp;
-              trace = None;
-              profile = None;
-            })
-          (Json.to_list (Json.member "kernels" j))
-      in
       {
         workload = w.Workloads.Workload.name;
         scheme;
         kernels;
         total_cycles = Json.to_int (Json.member "total_cycles" j);
-        verified =
-          (match Json.member "verified" j with
-          | Json.Null -> Ok ()
-          | v -> Error (Json.to_str v));
+        verified;
         catt_analyses = analyses_for cfg w scheme;
         manifest =
           (* lenient: entries written before manifests existed (or with a
@@ -537,7 +543,106 @@ let run_of_json cfg (w : Workloads.Workload.t) scheme json =
     json
 
 (* ------------------------------------------------------------------ *)
-(* The cache ladder: memo, single flight, disk, simulation             *)
+(* One cell past the disk cache: prepare, key, reuse or simulate        *)
+(* ------------------------------------------------------------------ *)
+
+let m_reused = Obs.Metrics.counter "runner.reused"
+(** Cells answered from an entry simulated under the same launch key. *)
+
+(* The stats and verdict of the entry the launch index names, decoded
+   without the CATT pass, and only from an entry of this workload that
+   carries this very launch key; each kernel takes the tlp of this
+   cell's own preparation. *)
+let reused_of_json (w : Workloads.Workload.t) prepared ~launch_key json =
+  Json.decode
+    (fun j ->
+      let carried =
+        Option.bind (Json.member_opt "manifest" j) (fun m ->
+            match Json.member_opt "launch_key" m with
+            | Some (Json.String k) -> Some k
+            | Some _ | None -> None)
+      in
+      if carried <> Some launch_key then
+        raise (Json.Type_error "the entry carries another launch key");
+      let kernels, verified = payload_of_json w j in
+      ( List.map
+          (fun ks ->
+            match List.assoc_opt ks.kernel_name prepared with
+            | Some p -> { ks with tlp = p.prepared_tlp }
+            | None -> raise (Json.Type_error "a kernel the workload lacks"))
+          kernels,
+        verified ))
+    json
+
+(* the cell's run from the entry simulated under [launch_key], if the
+   shard's launch index names a usable one *)
+let reuse ?tenant cfg (w : Workloads.Workload.t) scheme prepared ~launch_key
+    ~started =
+  Cache.find_launch ?tenant launch_key (reused_of_json w prepared ~launch_key)
+  |> Option.map (fun (kernels, verified) ->
+         Obs.Metrics.incr m_reused;
+         app_run_of w scheme prepared kernels ~verified
+           ~manifest:
+             (Some
+                (Manifest.make ~launch_key cfg
+                   ~workload:w.Workloads.Workload.name
+                   ~scheme:(scheme_label scheme) ~seed
+                   ~wall_seconds:(Unix.gettimeofday () -. started))))
+
+(* [req]'s cell, prepared and then simulated.  With [reuse], the launch
+   key sits between the two: a cell whose launch sequence the shard's
+   index already names is answered from that entry as a [Disk] hit, and
+   a simulated one carries its key into the manifest, so its store
+   indexes it. *)
+let exec_cell ~reuse:reusing (req : Request.t) =
+  let { Request.cfg; workload = w; scheme; trace; profile; timeline; tenant;
+        on_device } =
+    req
+  in
+  Obs.Span.with_span "runner.simulate"
+    ~attrs:
+      [
+        ("workload", Obs.Span.Str w.Workloads.Workload.name);
+        ("scheme", Obs.Span.Str (scheme_label scheme));
+      ]
+  @@ fun _ ->
+  let started = Unix.gettimeofday () in
+  (* one collector per kernel name: repeated launches of the same kernel
+     aggregate into it, matching how stats accumulate *)
+  let collectors : (string, Profile.Collector.t) Hashtbl.t = Hashtbl.create 4 in
+  let collector_for name =
+    if not profile then None
+    else
+      Some
+        (match Hashtbl.find_opt collectors name with
+        | Some c -> c
+        | None ->
+          let c = Profile.Collector.create () in
+          if timeline then Profile.Collector.enable_timeline c;
+          Hashtbl.add collectors name c;
+          c)
+  in
+  match prepare_all cfg w scheme with
+  | Error _ as e -> e
+  | Ok prepared -> (
+    let launches = launches_of ~trace ~collector_for cfg w scheme prepared in
+    let launch_key = if reusing then launch_key_of cfg w launches else None in
+    match
+      Option.bind launch_key (fun launch_key ->
+          reuse ?tenant cfg w scheme prepared ~launch_key ~started)
+    with
+    | Some r -> Ok (r, Disk)
+    | None ->
+      Ok
+        ( simulate ?on_device ~trace ~launch_key ~started cfg w scheme prepared
+            launches,
+          Simulated ))
+
+(** One cell, always simulated: no cache is read or written. *)
+let exec_uncached req = Result.map fst (exec_cell ~reuse:false req)
+
+(* ------------------------------------------------------------------ *)
+(* The cache ladder: memo, single flight, disk, launch index, simulation *)
 (* ------------------------------------------------------------------ *)
 
 (** One kind of cached result — a solo cell's run, or a co-resident
@@ -549,7 +654,10 @@ type ('req, 'a) ladder = {
   flights : ('a * source, string) result Gpu_util.Single_flight.t;
   encode : 'a -> Json.t;
   decode : Config.t -> 'req -> Json.t -> ('a, string) result;
-  simulate : Config.t -> 'req -> ('a, string) result;
+  launch_key : 'a -> string option;
+      (** the launch sequence a stored result is indexed under *)
+  compute : Config.t -> 'req -> ('a * source, string) result;
+      (** past a disk miss: a reused ([Disk]) or [Simulated] result *)
 }
 
 (* pool workers race on the memos, so every access is locked; simulation
@@ -571,6 +679,9 @@ let m_coalesced = Obs.Metrics.counter "runner.coalesced"
 (** Requests that joined an in-flight identical computation. *)
 
 let coalesced_total () = Obs.Metrics.value m_coalesced
+
+(** Cells answered from another scheme's entry with the same launch key. *)
+let reused_total () = Obs.Metrics.value m_reused
 
 (** Cells actually simulated ({!exec_uncached} completions, co-resident
     pairs included) — the denominator the dedup proof counts. *)
@@ -597,7 +708,8 @@ let memo_find memo key =
 
 (** Climb [ladder] for the cell labelled [workload] and [scheme]: the
     in-process memo, then the single-flight table, then the disk cache,
-    then a real simulation (persisted on completion).  Concurrent
+    then the ladder's [compute] — for a solo cell the launch index, then
+    a real simulation — persisted on completion.  Concurrent
     identical cells — pool workers racing on the same cell, from any
     tenant — coalesce: exactly one leader reads the disk or simulates,
     every follower blocks on the flight entry and receives the leader's
@@ -615,7 +727,8 @@ let climb ladder ~span ?tenant cfg ~workload ~scheme req =
       Mutex.protect memo_lock (fun () -> Hashtbl.replace ladder.memo key r)
     in
     let store r =
-      Cache.store ?tenant cfg ~workload ~scheme ~seed (ladder.encode r)
+      Cache.store ?tenant ?launch_key:(ladder.launch_key r) cfg ~workload
+        ~scheme ~seed (ladder.encode r)
     in
     let compute () =
       match
@@ -623,11 +736,11 @@ let climb ladder ~span ?tenant cfg ~workload ~scheme req =
       with
       | Some r -> Ok (r, Disk)
       | None -> (
-        match ladder.simulate cfg req with
+        match ladder.compute cfg req with
         | Error _ as e -> e
-        | Ok r ->
+        | Ok (r, _) as ok ->
           store r;
-          Ok (r, Simulated))
+          ok)
     in
     let joined leader_tag =
       Obs.Metrics.incr m_coalesced;
@@ -668,7 +781,9 @@ let cell_ladder : (Request.t, app_run) ladder =
     flights = Gpu_util.Single_flight.create ();
     encode = run_to_json;
     decode = (fun cfg r -> run_of_json cfg r.Request.workload r.Request.scheme);
-    simulate = (fun _ req -> exec_uncached req);
+    launch_key =
+      (fun r -> Option.bind r.manifest (fun m -> m.Manifest.launch_key));
+    compute = (fun _ req -> exec_cell ~reuse:true req);
   }
 
 (** One cell through {!cell_ladder} ({!climb}); a request whose payload
@@ -809,8 +924,8 @@ let run_co_resident_uncached cfg (wa : Workloads.Workload.t) scheme_a
         go wa.Workloads.Workload.launches wb.Workloads.Workload.launches;
         Obs.Metrics.incr m_cells;
         Ok
-          ( app_run_of wa scheme_a prep_a acc_a dev_a ~manifest:None,
-            app_run_of wb scheme_b prep_b acc_b dev_b ~manifest:None )
+          ( verified_run_of wa scheme_a prep_a acc_a dev_a ~manifest:None,
+            verified_run_of wb scheme_b prep_b acc_b dev_b ~manifest:None )
       with Gpu.Launch_error msg -> Error msg))
 
 (* --- pair-aware caching --------------------------------------------- *)
@@ -872,8 +987,12 @@ let pair_ladder =
     flights = Gpu_util.Single_flight.create ();
     encode = pair_to_json;
     decode = pair_of_json;
-    simulate =
-      (fun cfg ((w1, s1), (w2, s2)) -> run_co_resident_uncached cfg w1 s1 w2 s2);
+    launch_key = (fun _ -> None);
+    compute =
+      (fun cfg ((w1, s1), (w2, s2)) ->
+        Result.map
+          (fun pr -> (pr, Simulated))
+          (run_co_resident_uncached cfg w1 s1 w2 s2));
   }
 
 (** Cached co-resident execution: {!pair_ladder} ({!climb}), exactly as
@@ -912,7 +1031,8 @@ let clear_memo () =
   Mutex.lock memo_lock;
   Hashtbl.reset cell_ladder.memo;
   Hashtbl.reset pair_ladder.memo;
-  Mutex.unlock memo_lock
+  Mutex.unlock memo_lock;
+  Cache.forget_fingerprints ()
 
 (** Fan a (config, workload, scheme) grid out across a domain pool.
     Results come back element-wise in input order, identical to what the

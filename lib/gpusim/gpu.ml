@@ -98,9 +98,9 @@ let geometry l =
 (* Without an explicit carveout, pick the one the CUDA runtime would: the
    smallest option that still sustains the kernel's maximum occupancy
    (larger options would only shrink the L1D for nothing). *)
-let auto_carveout dev l ~tb_threads =
+let auto_carveout cfg l ~tb_threads =
   let static = l.prog.Bytecode.shared_bytes in
-  let options = List.sort compare dev.cfg.Config.smem_carveout_options in
+  let options = List.sort compare cfg.Config.smem_carveout_options in
   let feasible = List.filter (fun o -> o >= static) options in
   match feasible with
   | [] ->
@@ -108,29 +108,88 @@ let auto_carveout dev l ~tb_threads =
       l.prog.Bytecode.name static
   | _ ->
     let tbs_at carveout =
-      Cta_scheduler.max_tbs_per_sm dev.cfg ~tb_threads
+      Cta_scheduler.max_tbs_per_sm cfg ~tb_threads
         ~num_regs:l.prog.Bytecode.num_regs ~shared_bytes:static
         ~smem_carveout:carveout
     in
     let best_tbs = List.fold_left (fun acc o -> max acc (tbs_at o)) 0 feasible in
     List.find (fun o -> tbs_at o >= best_tbs) feasible
 
-let resolve_carveout dev l =
+let resolve_carveout cfg l =
   let static = l.prog.Bytecode.shared_bytes in
   match l.smem_carveout with
   | Some bytes ->
-    if not (List.mem bytes dev.cfg.Config.smem_carveout_options) then
+    if not (List.mem bytes cfg.Config.smem_carveout_options) then
       launch_error "smem carveout %d is not a configurable option" bytes;
     if bytes < static then
       launch_error "smem carveout %d < static shared usage %d" bytes static;
     bytes
   | None ->
     let _, _, bx, by = geometry l in
-    auto_carveout dev l ~tb_threads:(bx * by)
+    auto_carveout cfg l ~tb_threads:(bx * by)
+
+(* The canonical identity of a launch: every field the simulation reads,
+   with the carveout resolved, since a [None] and the [Some c] it resolves
+   to run identically.  Both records are destructured with no wildcard,
+   so a new field fails to compile here until it is rendered or excluded
+   with a reason.  Marshal without sharing is a structural encoding
+   (floats by their bits), so equal renderings mean equal values. *)
+let launch_digest cfg l =
+  let {
+    prog;
+    grid;
+    block;
+    args;
+    smem_carveout = _;  (* rendered resolved, below *)
+    sched;
+    trace;
+    runtime_throttle;
+    bypass_arrays;
+    (* an observer: its hooks never change a counter, and profiled runs
+       are never cached *)
+    profile = _;
+  } =
+    l
+  in
+  let {
+    Bytecode.name;
+    code;
+    num_regs;
+    args = params;
+    scalar_param_regs;
+    array_ids;
+    shared_arrays;
+    shared_bytes;
+    global_load_ids;
+    src_locs;
+  } =
+    prog
+  in
+  Digest.string
+    (Marshal.to_string
+       ( ( name,
+           code,
+           num_regs,
+           params,
+           scalar_param_regs,
+           array_ids,
+           shared_arrays,
+           shared_bytes,
+           global_load_ids,
+           src_locs ),
+         ( grid,
+           block,
+           args,
+           resolve_carveout cfg l,
+           sched,
+           trace,
+           runtime_throttle,
+           bypass_arrays ) )
+       [ Marshal.No_sharing ])
 
 let occupancy dev l =
   let _, _, bx, by = geometry l in
-  let carveout = resolve_carveout dev l in
+  let carveout = resolve_carveout dev.cfg l in
   let tb_threads = bx * by in
   let tbs =
     Cta_scheduler.max_tbs_per_sm dev.cfg ~tb_threads
@@ -370,7 +429,7 @@ let launch ?args_base dev l =
   Cache.settle dev.l2;
   (* checks geometry, then the carveout, then occupancy *)
   let max_tbs = occupancy dev l in
-  let carveout = resolve_carveout dev l in
+  let carveout = resolve_carveout dev.cfg l in
   let base =
     match args_base with Some b -> b | None -> dev.cfg.Config.line_bytes
   in
@@ -470,8 +529,8 @@ let launch_pair ?args_base_b dev_a la dev_b lb =
   Cache.settle dev_a.l2;
   let _, _, bxa, bya = geometry la in
   let _, _, bxb, byb = geometry lb in
-  let carve_a = resolve_carveout dev_a la in
-  let carve_b = resolve_carveout dev_b lb in
+  let carve_a = resolve_carveout cfg la in
+  let carve_b = resolve_carveout cfg lb in
   let l1_bytes = cfg.Config.onchip_bytes - carve_a - carve_b in
   if l1_bytes <= 0 then
     launch_error

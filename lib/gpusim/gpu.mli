@@ -95,6 +95,16 @@ val default_launch :
     ([None]/GTO/no trace/no runtime throttle/no bypass); pass the labeled
     argument instead of rebuilding the record with [{ ... with ... }]. *)
 
+val launch_digest : Config.t -> launch -> Digest.t
+(** The MD5 of a canonical rendering of everything {!launch} reads from
+    the record: the whole compiled program, grid, block, arguments, the
+    carveout as resolved under the config (so [None] and the [Some c] it
+    picks agree), scheduler, trace flag, runtime policy and bypass
+    arrays.  Only the profile collector is left out: it observes and
+    never changes a counter.  Two launches with equal digests simulate
+    identically on equal device states.  Raises {!Launch_error} for a
+    carveout {!launch} would refuse. *)
+
 val occupancy : device -> launch -> int
 (** Resident TBs per SM (Eq. 3) for this launch.  Raises {!Launch_error}
     on an unlaunchable configuration. *)

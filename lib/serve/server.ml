@@ -168,11 +168,13 @@ let handle_explain cfg name : outcome =
   match find_workload name with
   | Error _ as e -> e
   | Ok w ->
+    let analyses = Experiments.Explain.analyses cfg w in
     Ok
       ( Json.Obj
           [
-            ("report", Experiments.Explain.workload_to_json cfg w);
-            ("rendered", Json.String (Experiments.Explain.render cfg w));
+            ("report", Experiments.Explain.to_json cfg w analyses);
+            ( "rendered",
+              Json.String (Experiments.Explain.to_text cfg w analyses) );
           ],
         false )
 

@@ -1,20 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer, read and written through
+   the compiler's unboxed 64-bit load/store primitives: a [mutable int64]
+   field would box a fresh int64 on every draw.  Only this module touches
+   the bytes, so native byte order is as good as any. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-(* splitmix64: passes BigCrush, one multiply-xor-shift chain per draw. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+(* splitmix64: passes BigCrush, one multiply-xor-shift chain per draw.
+   Inlined into every draw below, so its int64 never leaves a register. *)
+let[@inline always] next_int64 t =
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
+let split t = of_state (next_int64 t)
 
 let int t bound =
   assert (bound > 0);
@@ -22,10 +33,18 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
-let float t bound =
-  let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  (* 53 significant bits, same construction as Random.float *)
-  r /. 9007199254740992.0 *. bound
+(* 53 significant bits, same construction as Random.float; they fit an
+   OCaml int exactly, so the conversion matches Int64.to_float *)
+let[@inline always] unit_float t =
+  float_of_int (Int64.to_int (Int64.shift_right_logical (next_int64 t) 11))
+  /. 9007199254740992.0
+
+let float t bound = unit_float t *. bound
+
+let fill_float t a bound =
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set a i (unit_float t *. bound)
+  done
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 

@@ -22,7 +22,12 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
 val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
+(** [float t bound] is uniform in [\[0, bound)].  The result crosses a
+    module boundary boxed; bulk callers use {!fill_float}. *)
+
+val fill_float : t -> float array -> float -> unit
+(** [fill_float t a bound] sets [a.(0)], [a.(1)], ... to successive
+    [float t bound] draws, in index order, without allocating. *)
 
 val bool : t -> bool
 (** Fair coin. *)

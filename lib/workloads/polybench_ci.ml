@@ -258,9 +258,11 @@ let gram : Workload.t =
     setup =
       (fun dev rng ->
         (* offset away from zero so norms are well-conditioned *)
-        let a =
-          Array.init (n * n) (fun _ -> 0.5 +. Gpu_util.Rng.float rng 1.)
-        in
+        let a = Array.create_float (n * n) in
+        Gpu_util.Rng.fill_float rng a 1.;
+        for i = 0 to (n * n) - 1 do
+          a.(i) <- 0.5 +. a.(i)
+        done;
         Gpusim.Gpu.upload dev "A" a;
         Gpusim.Gpu.upload dev "norms" (Array.make n 0.);
         Gpusim.Gpu.upload dev "Q" (Array.make (n * n) 0.);

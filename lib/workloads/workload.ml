@@ -54,7 +54,9 @@ let expect_close ?(eps = 1e-4) ~what expected actual =
       Error (Printf.sprintf "%s[%d]: expected %g, got %g" what i e a)
   end
 
+(* the host array is the oracle's input, so the device gets a copy *)
 let upload_random dev rng name len =
-  let host = Array.init len (fun _ -> Gpu_util.Rng.float rng 1.) in
+  let host = Array.create_float len in
+  Gpu_util.Rng.fill_float rng host 1.;
   Gpusim.Gpu.upload dev name host;
   host

@@ -163,6 +163,50 @@ let test_builtin_lanes () =
           ~a:1 ~b:2
       done)
 
+(* Workload inputs: every draw kind a setup uses, by the call.  The
+   generator's state and its int64 stay unboxed, and floats go straight
+   into the destination array. *)
+let test_rng_draws () =
+  let module Rng = Gpu_util.Rng in
+  let rng = Rng.create 7 in
+  let sum = ref 0 in
+  check_free "Rng.int" (fun () ->
+      for _ = 1 to calls do
+        sum := !sum + Rng.int rng 1000
+      done);
+  check_free "Rng.bool" (fun () ->
+      for _ = 1 to calls do
+        if Rng.bool rng then incr sum
+      done);
+  let a = Array.create_float calls in
+  check_free "Rng.fill_float" (fun () -> Rng.fill_float rng a 1.);
+  let p = Array.init 1000 Fun.id in
+  check_free "Rng.shuffle" (fun () ->
+      for _ = 1 to calls / 1000 do
+        Rng.shuffle rng p
+      done);
+  Alcotest.(check bool) "draws happened" true (!sum > 0 && a.(0) <> a.(1))
+
+(* A warm memo hit through the runner's front door: the cell key (built
+   on the once-per-config fingerprint), the memo lookup and the answer. *)
+let test_memo_hit () =
+  let module Runner = Experiments.Runner in
+  let cfg = Gpusim.Config.scaled ~num_sms:2 ~onchip_bytes:(16 * 1024) () in
+  let req = Runner.Request.make cfg (Workloads.Registry.find "BT") Runner.Baseline in
+  let hit () =
+    match Runner.exec req with Ok _ -> () | Error msg -> Alcotest.fail msg
+  in
+  hit ();
+  hit ();
+  let hits = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to hits do
+    hit ()
+  done;
+  let per_hit = (Gc.minor_words () -. before) /. float_of_int hits in
+  if per_hit > 400. then
+    Alcotest.failf "a warm memo hit allocates %.0f words (limit 400)" per_hit
+
 (* One whole launch per policy: the issue loop, scheduler, caches and
    the policy's hooks together.  Setup (parse, compile, device arrays) is
    inside the count too, so the bound is per simulated instruction rather
@@ -196,6 +240,8 @@ let tests =
         Alcotest.test_case "CCWS miss, tick and rank" `Quick test_ccws_hooks;
         Alcotest.test_case "DAWS gates" `Quick test_daws_hooks;
         Alcotest.test_case "builtin lanes" `Quick test_builtin_lanes;
+        Alcotest.test_case "workload input draws" `Quick test_rng_draws;
+        Alcotest.test_case "warm memo hit" `Quick test_memo_hit;
         Alcotest.test_case "CCWS launch per instruction" `Quick (fun () ->
             check_launch_words_per_instr ("CCWS", `Ccws));
         Alcotest.test_case "launch per instruction, other policies" `Quick

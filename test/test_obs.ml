@@ -605,9 +605,9 @@ let golden_dir = "golden_profiles"
 let explain_atax_path = Filename.concat golden_dir "explain_atax.json"
 
 let render_explain_atax () =
+  let cfg = explain_cfg () and w = Workloads.Registry.find "ATAX" in
   Json.to_string ~pretty:true
-    (Experiments.Explain.workload_to_json (explain_cfg ())
-       (Workloads.Registry.find "ATAX"))
+    (Experiments.Explain.to_json cfg w (Experiments.Explain.analyses cfg w))
   ^ "\n"
 
 let test_golden_explain () =

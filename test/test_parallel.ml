@@ -167,12 +167,8 @@ let test_scheme_label_round_trip () =
   | Ok _ -> Alcotest.fail "junk must not parse"
   | Error _ -> ()
 
-let test_fingerprint_sensitive_to_every_field () =
-  let base = Gpusim.Config.volta () in
-  let fp = Cache.config_fingerprint base in
-  (* one variant per simulation-relevant field; if the fingerprint misses
-     a field, its variant aliases the base config and this test fails *)
-  let variants =
+(* one variant of [base] per simulation-relevant config field *)
+let config_variants base =
     [
       ("num_sms", { base with Gpusim.Config.num_sms = base.Gpusim.Config.num_sms + 1 });
       ("warp_size", { base with Gpusim.Config.warp_size = 16 });
@@ -206,7 +202,13 @@ let test_fingerprint_sensitive_to_every_field () =
       ( "issue_width",
         { base with Gpusim.Config.issue_width = base.Gpusim.Config.issue_width + 1 } );
     ]
-  in
+
+let test_fingerprint_sensitive_to_every_field () =
+  let base = Gpusim.Config.volta () in
+  let fp = Cache.config_fingerprint base in
+  (* if the fingerprint misses a field, its variant aliases the base
+     config and this test fails *)
+  let variants = config_variants base in
   List.iter
     (fun (field, variant) ->
       Alcotest.(check bool)
@@ -224,7 +226,20 @@ let test_fingerprint_sensitive_to_every_field () =
   Alcotest.(check string)
     "trace_cap does not invalidate" fp
     (Cache.config_fingerprint
-       { base with Gpusim.Config.trace_cap = base.Gpusim.Config.trace_cap + 1 })
+       { base with Gpusim.Config.trace_cap = base.Gpusim.Config.trace_cap + 1 });
+  (* the cell key goes through the once-per-config fingerprint: asked in
+     any order, the variants' keys stay distinct from the base's and from
+     each other *)
+  let key c = Cache.key c ~workload:"BT" ~scheme:"baseline" ~seed:42 in
+  let base_key = key base in
+  let keys = List.map (fun (_, v) -> key v) variants in
+  Alcotest.(check int)
+    "cell keys pairwise distinct"
+    (List.length variants + 1)
+    (List.length (List.sort_uniq compare (base_key :: keys)));
+  Alcotest.(check string) "base key stable" base_key (key base);
+  Alcotest.(check (list string)) "variant keys stable" keys
+    (List.map (fun (_, v) -> key v) variants)
 
 let with_temp_cache f =
   let dir =

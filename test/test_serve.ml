@@ -1728,6 +1728,42 @@ let test_coalesced_trace_linkage () =
       | None -> Alcotest.fail "joiner span lost its trace id")
     joiners
 
+(* An explain request runs the CATT pass once per kernel and renders
+   both forms from it: counted by the driver's [catt.analyze] spans.  The
+   answer is the pinned provenance record and the CLI's rendering. *)
+let test_explain_analyzes_once () =
+  let w = Workloads.Registry.find "ATAX" in
+  let kernels = List.length (Workloads.Workload.kernels w) in
+  let was = !Obs.Span.enabled in
+  Obs.Span.reset ();
+  Obs.Span.enabled := true;
+  let answer =
+    Fun.protect
+      ~finally:(fun () -> Obs.Span.enabled := was)
+      (fun () ->
+        Server.default_handler small_cfg
+          { Protocol.id = "e"; tenant = "t"; trace_id = None;
+            kind = Protocol.Explain "ATAX" })
+  in
+  let passes =
+    List.length
+      (List.filter
+         (fun (sp : Obs.Span.t) -> sp.Obs.Span.name = "catt.analyze")
+         (Obs.Span.finished ()))
+  in
+  Obs.Span.reset ();
+  Alcotest.(check int) "one CATT pass per kernel" kernels passes;
+  let analyses = Experiments.Explain.analyses small_cfg w in
+  match answer with
+  | Ok (json, _) ->
+    Alcotest.(check string) "report"
+      (Json.to_string (Experiments.Explain.to_json small_cfg w analyses))
+      (Json.to_string (Json.member "report" json));
+    Alcotest.(check string) "rendered"
+      (Experiments.Explain.to_text small_cfg w analyses)
+      (Json.to_str (Json.member "rendered" json))
+  | Error (_, msg) -> Alcotest.fail msg
+
 let tests =
   [
     ( "serve.protocol",
@@ -1782,6 +1818,8 @@ let tests =
           test_serve_trace_export;
         Alcotest.test_case "coalesced requests link joiner to leader traces"
           `Quick test_coalesced_trace_linkage;
+        Alcotest.test_case "explain runs the CATT pass once" `Quick
+          test_explain_analyzes_once;
       ] );
     ( "serve.co_resident",
       [

@@ -54,6 +54,76 @@ let prop_rng_float_bounds =
       let v = Gpu_util.Rng.float rng bound in
       v >= 0. && v < bound)
 
+(* The generator as it stood with a boxed [mutable int64] state: the
+   unboxed one must reproduce its streams bit for bit, since every
+   workload's inputs (and so every golden digest) come from them. *)
+module Rng_reference = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = Int64.of_int seed }
+
+  let next_int64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t = { state = next_int64 t }
+  let int t bound = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) mod bound
+
+  let float t bound =
+    Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
+    /. 9007199254740992.0 *. bound
+
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+
+  let shuffle t arr =
+    for i = Array.length arr - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- tmp
+    done
+
+  let permutation t n =
+    let arr = Array.init n (fun i -> i) in
+    shuffle t arr;
+    arr
+end
+
+(* one interleaving of every draw kind, from both generators at once *)
+let prop_rng_matches_reference =
+  QCheck.Test.make ~name:"Rng streams match the boxed reference" ~count:200
+    QCheck.(pair int (int_range 1 1_000_000))
+    (fun (seed, bound) ->
+      let module R = Gpu_util.Rng in
+      let module O = Rng_reference in
+      let r = R.create seed and o = O.create seed in
+      let same_floats r o =
+        let a = Array.make 7 0. in
+        R.fill_float r a 3.5;
+        Array.for_all (fun x -> Int64.equal (Int64.bits_of_float x)
+          (Int64.bits_of_float (O.float o 3.5))) a
+      in
+      let step r o =
+        R.int r bound = O.int o bound
+        && Int64.equal
+             (Int64.bits_of_float (R.float r 1.))
+             (Int64.bits_of_float (O.float o 1.))
+        && R.bool r = O.bool o
+        && same_floats r o
+        && R.permutation r 9 = O.permutation o 9
+        &&
+        let a = Array.init 11 (fun i -> i * i) in
+        let b = Array.copy a in
+        R.shuffle r a;
+        O.shuffle o b;
+        a = b
+      in
+      let rs = R.split r and os = O.split o in
+      List.for_all Fun.id (List.init 20 (fun _ -> step r o && step rs os)))
+
 (* --------------------------- Stats -------------------------------- *)
 
 let test_mean () = check_float "mean" 2.5 (Gpu_util.Stats.mean [| 1.; 2.; 3.; 4. |])
@@ -277,6 +347,7 @@ let tests =
         Alcotest.test_case "permutation" `Quick test_rng_permutation;
         QCheck_alcotest.to_alcotest prop_rng_int_bounds;
         QCheck_alcotest.to_alcotest prop_rng_float_bounds;
+        QCheck_alcotest.to_alcotest prop_rng_matches_reference;
       ] );
     ( "util.stats",
       [
