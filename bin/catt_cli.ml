@@ -20,6 +20,8 @@
                                                    (static cache-behavior lint;
                                                     TARGET is a source file or a
                                                     registered workload)
+      catt_cli bench    [--json PATH | --check] [--baseline PATH]
+                                                   (throughput report and its gate)
 *)
 
 open Cmdliner
@@ -389,7 +391,6 @@ let lint_cmd =
       $ Cli_common.onchip $ Cli_common.sms)
 
 let bench_cmd =
-  let module Bench = Experiments.Bench_core in
   let baseline_arg =
     Arg.(
       value
@@ -402,98 +403,39 @@ let bench_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "re-measure the gated stages and exit non-zero when any stage \
-             regresses more than 10% below the committed cells/sec, or when \
-             the grid or serve telemetry A/A lands more than 5% apart")
+            "re-measure every stage and A/A instance and exit non-zero when \
+             a stage runs more than 10% below its committed cells/sec after \
+             best of 3, a grid stage allocates more than 1% more minor words \
+             per cell than committed, or an A/A lands more than 5% apart in \
+             3 attempts")
   in
-  (* the serve stage lives above Bench_core in the dependency order, so
-     it is composed into both the measurement and the retry path here *)
-  let extra = [ (fun () -> Serve.Bench.stage ()) ] in
-  let run baseline check jobs =
-    if not check then begin
-      (* without --check, just measure and print (no gate, no file write) *)
-      let r = Bench.collect ~jobs ~extra () in
-      List.iter
-        (fun (s : Bench.stage) ->
-          Printf.printf "  %-16s %8.2f cells/sec  %12.0f minor words/cell\n"
-            s.Bench.name s.Bench.cells_per_sec s.Bench.minor_words_per_cell)
-        (r.Bench.gated @ r.Bench.pool)
-    end
-    else if not (Sys.file_exists baseline) then begin
-      Printf.eprintf
-        "no committed baseline at %s — generate one with `bench --json %s`\n"
-        baseline baseline;
-      exit 2
-    end
-    else
-      let committed =
-        match
-          Gpu_util.Json.of_string
-            (In_channel.with_open_bin baseline In_channel.input_all)
-        with
-        | Error msg ->
-          Printf.eprintf "%s: %s\n" baseline msg;
-          exit 2
-        | Ok json -> (
-          match Bench.baseline_of_json json with
-          | Ok stages -> stages
-          | Error msg ->
-            Printf.eprintf "%s: %s\n" baseline msg;
-            exit 2)
-      in
-      let measured = Bench.stages () @ List.map (fun f -> f ()) extra in
-      let remeasure name =
-        Printf.printf "  %-16s re-measuring (ruling out timing noise)\n%!"
-          name;
-        if name = Serve.Bench.stage_name then Some (Serve.Bench.stage ())
-        else Bench.remeasure_gated name
-      in
-      let verdicts =
-        Bench.check_with_retry ~committed ~measured ~remeasure ()
-      in
-      print_string (Bench.render_verdicts verdicts);
-      if not (List.for_all (fun v -> v.Bench.ok) verdicts) then begin
-        print_endline "throughput gate: FAIL (>10% below committed baseline)";
-        exit 1
-      end;
-      print_endline "throughput gate: PASS";
-      (* the telemetry plane's disabled path must stay free, on the grid
-         and on the serve loop: an A/A of two disabled batches more than
-         5% apart fails, re-measured up to 3 times so a noisy scheduler
-         slice cannot fail the gate on its own *)
-      let aa_gate name measure =
-        let rec attempt n =
-          let o = measure () in
-          Printf.printf
-            "  %s A/A: disabled %.2f ms (%.1f%% apart), enabled %.2f ms \
-             (+%.1f%%)\n\
-             %!"
-            name o.Bench.disabled_ms o.Bench.disabled_ab_pct o.Bench.enabled_ms
-            o.Bench.enabled_pct;
-          if o.Bench.disabled_within_5pct then true
-          else if n < 3 then begin
-            Printf.printf
-              "  %s A/A above 5%% — re-measuring (attempt %d of 3)\n%!" name
-              (n + 1);
-            attempt (n + 1)
-          end
-          else false
-        in
-        if attempt 1 then Printf.printf "%s obs-overhead gate: PASS\n" name
-        else begin
-          Printf.printf "%s obs-overhead gate: FAIL (disabled A/A > 5%%)\n" name;
-          exit 1
-        end
-      in
-      aa_gate "grid" (fun () -> Bench.obs_overhead ());
-      aa_gate "serve" (fun () -> Serve.Bench.obs_overhead ())
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"PATH"
+          ~doc:"write the throughput report to $(docv)")
+  in
+  let run baseline check json =
+    match (check, json) with
+    | true, Some _ -> `Error (true, "--check and --json are exclusive")
+    | true, None -> exit (Serve.Bench.check_file baseline)
+    | false, _ ->
+      let r = Serve.Bench.collect () in
+      Option.iter
+        (fun path ->
+          Serve.Bench.write_json path r;
+          Printf.printf "wrote %s\n" path)
+        json;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "measure grid-simulation throughput; with $(b,--check), gate it \
-          against the committed BENCH_gpusim.json")
-    Term.(const run $ baseline_arg $ check_arg $ Cli_common.jobs)
+         "measure simulation and serve throughput, allocation and A/A \
+          overheads; $(b,--json) writes the report, $(b,--check) gates a \
+          fresh measurement against the committed BENCH_gpusim.json")
+    Term.(ret (const run $ baseline_arg $ check_arg $ json_arg))
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
