@@ -72,9 +72,8 @@ let run_cell cfg w scheme =
   | Ok _ -> ()
   | Error msg -> failwith msg
 
-let grid_stage scheme name =
+let grid_stage workloads scheme name =
   let cfg = Experiments.Configs.max_l1d () in
-  let workloads = Workloads.Registry.all in
   measure ~name ~cells:(List.length workloads) ~exact_counts:true (fun () ->
       List.iter (fun w -> run_cell cfg w scheme) workloads)
 
@@ -181,45 +180,48 @@ let serve_stage name =
     metric, and the serve stage's server registers more, so a grid stage
     measured after it allocates up to 0.1% more per cell. *)
 let stages : (string * (string -> stage)) list =
+  let grid = grid_stage Workloads.Registry.all in
   Experiments.Scheme.
     [
-      ("grid/baseline", grid_stage Baseline);
-      ("grid/catt", grid_stage Catt);
-      ("grid/dynamic", grid_stage Dynamic);
-      ("grid/ciao", grid_stage Ciao);
-      ("grid/ata", grid_stage Ata);
+      ("grid/baseline", grid Baseline);
+      ("grid/catt", grid Catt);
+      ("grid/dynamic", grid Dynamic);
+      ("grid/ciao", grid Ciao);
+      ("grid/ata", grid Ata);
       ("serve/pipelined", serve_stage);
     ]
 
-(** The baseline grid fanned across a domain pool, at jobs 1 and at one
-    domain per core.  Informational, not gated: domain scaling depends on
-    the host's cores.  [Gc.minor_words] sees only the calling domain, so
-    each task counts its own cell's minor words and the stage sums them. *)
-let pool_stages () =
+(** The baseline cells of [workloads] fanned across a pool of [jobs]
+    domains.  [Gc.minor_words] sees only the calling domain, so each task
+    counts its own cell's minor words and the stage sums them. *)
+let pool_stage workloads jobs =
   let cfg = Experiments.Configs.max_l1d () in
-  let workloads = Workloads.Registry.all in
   let cells = List.length workloads in
+  let words = ref [] in
+  let s =
+    measure
+      ~name:(Printf.sprintf "pool/jobs-%d" jobs)
+      ~cells ~exact_counts:false
+      (fun () ->
+        words :=
+          Gpu_util.Pool.parallel_map ~jobs
+            (fun w ->
+              let m0 = Gc.minor_words () in
+              run_cell cfg w Experiments.Scheme.Baseline;
+              Gc.minor_words () -. m0)
+            workloads)
+  in
+  {
+    s with
+    minor_words_per_cell = List.fold_left ( +. ) 0. !words /. float_of_int cells;
+  }
+
+(** The baseline grid at jobs 1 and at one domain per core.
+    Informational, not gated: domain scaling depends on the host's
+    cores. *)
+let pool_stages () =
   List.map
-    (fun jobs ->
-      let words = ref [] in
-      let s =
-        measure
-          ~name:(Printf.sprintf "pool/jobs-%d" jobs)
-          ~cells ~exact_counts:false
-          (fun () ->
-            words :=
-              Gpu_util.Pool.parallel_map ~jobs
-                (fun w ->
-                  let m0 = Gc.minor_words () in
-                  run_cell cfg w Experiments.Scheme.Baseline;
-                  Gc.minor_words () -. m0)
-                workloads)
-      in
-      {
-        s with
-        minor_words_per_cell =
-          List.fold_left ( +. ) 0. !words /. float_of_int cells;
-      })
+    (pool_stage Workloads.Registry.all)
     (List.sort_uniq compare [ 1; Domain.recommended_domain_count () ])
 
 (* ------------------------------------------------------------------ *)
@@ -379,18 +381,23 @@ let print_aa name o =
     name o.disabled_ms o.disabled_ab_pct o.enabled_ms o.enabled_pct
     (if o.disabled_within_5pct then "ok" else "ABOVE 5%")
 
+(** Measure one named instance once and print it. *)
+let measure_aa (name, setup) =
+  let o = aa setup in
+  print_aa name o;
+  (name, o)
+
 (** The A/A gate: measure an instance until it lands within
     {!aa_gate_pct}, at most three times, and return the last attempt.
     The two disabled families run identical code, so only noise or a bias
     in the protocol itself (state an enabled batch leaves for the next)
     pulls them apart: a bias fails every attempt, noise only by chance. *)
-let gate_aa (name, setup) =
+let gate_aa instance =
   let rec attempt n =
-    let o = aa setup in
-    print_aa name o;
-    if o.disabled_within_5pct || n = 3 then o else attempt (n + 1)
+    let ((_, o) as named) = measure_aa instance in
+    if o.disabled_within_5pct || n = 3 then named else attempt (n + 1)
   in
-  (name, attempt 1)
+  attempt 1
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -406,8 +413,9 @@ let print_stage s =
   Printf.printf "  %-16s %10.2f cells/sec  %10.0f minor words/cell\n%!" s.name
     s.cells_per_sec s.minor_words_per_cell
 
-(** Measure every stage, pool stage and A/A instance once (an A/A up to
-    three times, by {!gate_aa}), printing each as it lands. *)
+(** Measure every stage, pool stage and A/A instance once, printing each
+    as it lands: the report records single measurements; retrying is the
+    gate's noise policy. *)
 let collect () =
   let gated =
     List.map
@@ -419,7 +427,7 @@ let collect () =
   in
   let pool = pool_stages () in
   List.iter print_stage pool;
-  { gated; pool; overheads = List.map gate_aa aa_instances }
+  { gated; pool; overheads = List.map measure_aa aa_instances }
 
 let stage_to_json s =
   Json.Obj
@@ -534,20 +542,16 @@ let check ~committed ~measured =
     measurement: scheduling noise only ever makes a stage look slower, so
     best-of-N converges on the true rate, while a real regression fails
     every attempt.  Counts repeat exactly, so a count failure is not
-    re-measured.  [remeasure] returns a fresh measurement of a stage name,
-    or [None] when it cannot be re-run (the verdict then stands). *)
+    re-measured.  [remeasure] returns a fresh measurement of a stage name. *)
 let check_with_retry ~committed ~measured ~remeasure =
   let rec retry v attempts =
     if v.time_ok || attempts = 0 then v
     else
-      match remeasure v.committed.name with
-      | None -> v
-      | Some s ->
-        retry
-          (if s.cells_per_sec > v.measured.cells_per_sec then
-             verdict v.committed s
-           else v)
-          (attempts - 1)
+      let s = remeasure v.committed.name in
+      retry
+        (if s.cells_per_sec > v.measured.cells_per_sec then verdict v.committed s
+         else v)
+        (attempts - 1)
   in
   List.map (fun v -> retry v 2) (check ~committed ~measured)
 
@@ -579,12 +583,8 @@ let check_file path =
   | Ok committed ->
     let measured = List.map (fun (name, m) -> m name) stages in
     let remeasure name =
-      Option.map
-        (fun m ->
-          Printf.printf "  %-16s re-measuring (ruling out timing noise)\n%!"
-            name;
-          m name)
-        (List.assoc_opt name stages)
+      Printf.printf "  %-16s re-measuring (ruling out timing noise)\n%!" name;
+      List.assoc name stages name
     in
     let verdicts = check_with_retry ~committed ~measured ~remeasure in
     List.iter print_verdict verdicts;

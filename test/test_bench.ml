@@ -43,7 +43,7 @@ let test_retry_clears_floor () =
   let remeasured = ref [] in
   let remeasure name =
     remeasured := name :: !remeasured;
-    Some (stage name 9.5)
+    stage name 9.5
   in
   let vs =
     B.check_with_retry ~committed
@@ -56,7 +56,7 @@ let test_retry_clears_floor () =
   let slower =
     B.check_with_retry ~committed
       ~measured:[ stage "grid/baseline" 7. ]
-      ~remeasure:(fun name -> Some (stage name 6.))
+      ~remeasure:(fun name -> stage name 6.)
   in
   Alcotest.(check (list (float 1e-9)))
     "the fastest measurement is judged" [ 7. ]
@@ -100,6 +100,18 @@ let test_report_round_trip () =
        (Gpu_util.Json.member "disabled_within_5pct"
           (Gpu_util.Json.member "profiler" json)))
 
+let test_unreadable_report () =
+  let tmp = Filename.temp_file "bench-report" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      Out_channel.with_open_bin tmp (fun oc ->
+          Out_channel.output_string oc {|{"stages": [{"stage": 1}]}|});
+      Alcotest.(check int) "undecodable report" 2 (B.check_file tmp));
+  Alcotest.(check int)
+    "missing report" 2
+    (B.check_file (Filename.concat (Filename.get_temp_dir_name ()) "no/such.json"))
+
 let tests =
   [
     ( "bench.gate",
@@ -112,5 +124,7 @@ let tests =
           test_absent_stage_skipped;
         Alcotest.test_case "A/A verdict is its figure" `Quick test_aa_verdict;
         Alcotest.test_case "report round trip" `Quick test_report_round_trip;
+        Alcotest.test_case "unreadable report exits 2" `Quick
+          test_unreadable_report;
       ] );
   ]
