@@ -394,7 +394,7 @@ let launches_of ?(trace = false) ?(collector_for = fun _ -> None) cfg
     cannot be rendered (a carveout {!Gpu.launch} refuses, which the
     simulation then reports). *)
 let launch_key_of cfg (w : Workloads.Workload.t) launches =
-  match List.map (fun (_, l, _) -> Gpu.launch_digest cfg l) launches with
+  match Gpu.launch_digests cfg (List.map (fun (_, l, _) -> l) launches) with
   | digests ->
     Some (Cache.launch_key cfg ~workload:w.Workloads.Workload.name ~seed digests)
   | exception Gpu.Launch_error _ -> None

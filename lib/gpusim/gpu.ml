@@ -133,24 +133,10 @@ let resolve_carveout cfg l =
    to run identically.  Both records are destructured with no wildcard,
    so a new field fails to compile here until it is rendered or excluded
    with a reason.  Marshal without sharing is a structural encoding
-   (floats by their bits), so equal renderings mean equal values. *)
-let launch_digest cfg l =
-  let {
-    prog;
-    grid;
-    block;
-    args;
-    smem_carveout = _;  (* rendered resolved, below *)
-    sched;
-    trace;
-    runtime_throttle;
-    bypass_arrays;
-    (* an observer: its hooks never change a counter, and profiled runs
-       are never cached *)
-    profile = _;
-  } =
-    l
-  in
+   (floats by their bits), so equal renderings mean equal values.  The
+   program is rendered by its own digest, so a sequence that launches
+   one program many times marshals it once ({!launch_digests}). *)
+let program_digest prog =
   let {
     Bytecode.name;
     code;
@@ -167,16 +153,38 @@ let launch_digest cfg l =
   in
   Digest.string
     (Marshal.to_string
-       ( ( name,
-           code,
-           num_regs,
-           params,
-           scalar_param_regs,
-           array_ids,
-           shared_arrays,
-           shared_bytes,
-           global_load_ids,
-           src_locs ),
+       ( name,
+         code,
+         num_regs,
+         params,
+         scalar_param_regs,
+         array_ids,
+         shared_arrays,
+         shared_bytes,
+         global_load_ids,
+         src_locs )
+       [ Marshal.No_sharing ])
+
+let digest_with ~program cfg l =
+  let {
+    prog = _;  (* rendered by [program] *)
+    grid;
+    block;
+    args;
+    smem_carveout = _;  (* rendered resolved, below *)
+    sched;
+    trace;
+    runtime_throttle;
+    bypass_arrays;
+    (* an observer: its hooks never change a counter, and profiled runs
+       are never cached *)
+    profile = _;
+  } =
+    l
+  in
+  Digest.string
+    (Marshal.to_string
+       ( program,
          ( grid,
            block,
            args,
@@ -186,6 +194,23 @@ let launch_digest cfg l =
            runtime_throttle,
            bypass_arrays ) )
        [ Marshal.No_sharing ])
+
+let launch_digest cfg l = digest_with ~program:(program_digest l.prog) cfg l
+
+let launch_digests cfg ls =
+  let digested = ref [] in
+  List.map
+    (fun l ->
+      let program =
+        match List.assq_opt l.prog !digested with
+        | Some d -> d
+        | None ->
+          let d = program_digest l.prog in
+          digested := (l.prog, d) :: !digested;
+          d
+      in
+      digest_with ~program cfg l)
+    ls
 
 let occupancy dev l =
   let _, _, bx, by = geometry l in
@@ -302,10 +327,22 @@ type kernel = {
 let kernel dev l ~arrays ~scalars ~dram_free ~max_tbs ~l1_bytes ~l1 =
   let gx, gy, bx, by = geometry l in
   let tb_threads = bx * by in
+  let warps_per_tb = Cta_scheduler.warps_per_tb dev.cfg ~tb_threads in
+  let code =
+    match
+      Decode.decode ~ws:dev.cfg.Config.warp_size
+        ~global:(fun id -> Option.is_some arrays.(id))
+        ~grid:(gx, gy) ~block:(bx, by) ~warps_per_tb l.prog
+    with
+    | Ok code -> code
+    | Error (pc, reason) ->
+      launch_error "kernel %s: pc %d: %s" l.prog.Bytecode.name pc reason
+  in
   let job =
     {
       Sm.cfg = dev.cfg;
       prog = l.prog;
+      code;
       arrays;
       shared_specs =
         List.map (fun (_, id, size) -> (id, size)) l.prog.Bytecode.shared_arrays;
@@ -315,7 +352,7 @@ let kernel dev l ~arrays ~scalars ~dram_free ~max_tbs ~l1_bytes ~l1 =
       block_x = bx;
       block_y = by;
       tb_threads;
-      warps_per_tb = Cta_scheduler.warps_per_tb dev.cfg ~tb_threads;
+      warps_per_tb;
       sched = l.sched;
       stats = Stats.create ();
       trace =

@@ -105,6 +105,10 @@ val launch_digest : Config.t -> launch -> Digest.t
     identically on equal device states.  Raises {!Launch_error} for a
     carveout {!launch} would refuse. *)
 
+val launch_digests : Config.t -> launch list -> Digest.t list
+(** [List.map (launch_digest cfg)], with each distinct program (by
+    physical identity) rendered once however many launches share it. *)
+
 val occupancy : device -> launch -> int
 (** Resident TBs per SM (Eq. 3) for this launch.  Raises {!Launch_error}
     on an unlaunchable configuration. *)

@@ -16,21 +16,41 @@
     {!no_policy}: no-op hooks and no pool filter, so the scheduler scans
     the resident warps directly.
 
+    Execution: {!exec_instr} runs the launch's decoded program
+    ([job.code], {!Decode.t}), built once per launch by [Gpu]: it
+    dispatches on one int-coded {!Decode.op} per instruction, with
+    register numbers pre-multiplied by the warp size and every branch
+    target, register number, array kind and call arity checked at
+    decode, so there is no pc check, no operand match and no bounds
+    check on register slices here (data indices are still checked per
+    lane).  An operand is read in place: a register from the warp's
+    file, an immediate, launch dimension or thread index from the
+    launch's lane table (thread indices by the warp's [lane_base]); only
+    a block index is staged into scratch.
+
+    Scheduling: a warp's schedulability is one word, [ready_at]
+    ([max_int] while finished or parked at a barrier); the SM counts its
+    parked warps, and a thread block drains a barrier iff [arrived > 0].
+    With no pool filter, the resident-warp scan skips a prefix it has
+    seen to be unready, and a pick that finds nothing leaves the SM's
+    next event behind for {!next_event} (see [gto_scan]).
+
     Data layout: stepping allocates nothing per instruction (TB launch
-    and policy epochs do; [test/test_alloc.ml] counts it).  Resident
-    warps live in a flat array with stable compaction on TB retirement
-    (oldest first, as the GTO tie-break needs); each warp's SIMT mask
-    stack is a flat int array; the scheduler pool, coalescer lines and
-    per-instruction operand values go through preallocated per-SM
-    scratch buffers; ALU operands are staged into unboxed float arrays
-    and builtins run lane-wise inside [Minicuda.Builtins], so no
-    per-lane float ever crosses a function boundary boxed.  Policy
-    hooks follow the same two rules: their closures are built with the
-    record, never per call, and no hook returns a float (dev builds
-    compile with [-opaque]).  Every simulation-visible ordering — pool
-    order, transaction issue order, profiler event order — matches the
-    original list-based code bit for bit (proven by the golden-grid
-    digests in [test/golden_profiles/golden_grid.json]). *)
+    and policy epochs do; [test/test_alloc.ml] counts it).  A launch
+    allocates the decoded program and its lane table; a warp, its
+    record, register file and mask stack.  Resident warps live in a
+    flat array with stable compaction on TB retirement (oldest first,
+    as the GTO tie-break needs); each warp's SIMT mask stack is a flat
+    int array; the scheduler pool, coalescer lines and staged block
+    indices go through preallocated per-SM scratch buffers; builtins run
+    lane-wise inside [Minicuda.Builtins], so no per-lane float ever
+    crosses a function boundary boxed.  Policy hooks follow the same two
+    rules: their closures are built with the record, never per call,
+    and no hook returns a float (dev builds compile with [-opaque]).
+    Every simulation-visible ordering — pool order, transaction issue
+    order, profiler event order — matches the original list-based code
+    bit for bit (proven by the golden-grid digests in
+    [test/golden_profiles/golden_grid.json]). *)
 
 exception Sim_error of string
 
@@ -48,6 +68,7 @@ type sched = Gto | Lrr
 type job = {
   cfg : Config.t;
   prog : Bytecode.program;
+  code : Decode.t;  (** [prog] decoded for this launch, lane tables included *)
   arrays : global_array option array;  (* indexed by array id; None = shared *)
   shared_specs : (int * int) list;  (* shared array id, element count *)
   scalar_values : (int * float) list;  (* preloaded (register, value) *)
@@ -87,15 +108,15 @@ type warp = {
   tb : tb;
   init_mask : int;
   regs : float array;  (* num_regs * warp_size, register-major *)
-  tid_x : int array;
-  tid_y : int array;
+  lane_base : int;  (* this warp's first lane in the launch's thread-index tables *)
   mutable pc : int;
   mutable active : int;
   mutable exited : int;
   mutable stk : int array;  (* SIMT mask stack, see [frame_len] *)
   mutable depth : int;  (* frames on [stk] *)
   mutable ready_at : int;
-  mutable at_barrier : bool;
+      (* the cycle from which the warp can issue; [max_int] while it is
+         finished or parked at a barrier, so a scan reads one word *)
   mutable finished : bool;
   mutable pool_stamp : int;
       (* generation stamp: member of the scratch pool iff equal to the
@@ -135,16 +156,21 @@ type t = {
   mutable pool_gen : int;
   x_addrs : int array;  (* scratch: per-lane byte addresses *)
   x_lines : int array;  (* scratch: coalesced line indices *)
-  x_opa : float array;  (* scratch: staged operand values, unboxed *)
+  x_opa : float array;  (* scratch: a staged block-index operand *)
   x_opb : float array;
-  mutable x_va : float array;  (* operand views: backing array set by view_a/b *)
-  mutable x_vb : float array;
+  mutable parked : int;  (* resident warps waiting at a barrier *)
   mutable x_pool_fresh : bool;
       (* the scratch pool was filled by [next_event] and no simulation
          state has changed since: the first pick of the step may reuse it *)
-  mutable x_acc : int;  (* scratch int accumulator (masks, fold maxima) *)
-  mutable x_next_pc : int;  (* exec_instr outputs, fields instead of refs *)
-  mutable x_ready : int;
+  mutable x_next : int;
+      (* the next event found by a failed pick's full scan of the
+         resident warps, or -1: with no pool filter, [next_event] answers
+         from it instead of scanning again *)
+  mutable x_skip : int;
+  mutable x_skip_min : int;
+      (* with no pool filter: resident warps [0, x_skip) have ready
+         cycles of at least [x_skip_min]; while that is in the future,
+         scans start at [x_skip] (see [gto_scan]) *)
   policy : policy;
 }
 
@@ -192,15 +218,13 @@ let make_dummy_warp () =
     tb = dummy_tb;
     init_mask = 0;
     regs = [||];
-    tid_x = [||];
-    tid_y = [||];
+    lane_base = 0;
     pc = 0;
     active = 0;
     exited = 0;
     stk = [||];
     depth = 0;
     ready_at = max_int;
-    at_barrier = false;
     finished = true;
     pool_stamp = 0;
     slot = -1;
@@ -250,12 +274,11 @@ let create job id ~l1 ~policy =
     x_lines = Array.make ws 0;
     x_opa = Array.make ws 0.;
     x_opb = Array.make ws 0.;
-    x_va = [||];
-    x_vb = [||];
+    parked = 0;
     x_pool_fresh = false;
-    x_acc = 0;
-    x_next_pc = 0;
-    x_ready = 0;
+    x_next = -1;
+    x_skip = 0;
+    x_skip_min = max_int;
     policy;
   }
 
@@ -292,16 +315,9 @@ let launch_tb sm tb_id =
   in
   let num_regs = max 1 job.prog.Bytecode.num_regs in
   let make_warp warp_idx =
-    let base_tid = warp_idx * ws in
-    let lanes = min ws (job.tb_threads - base_tid) in
+    let lane_base = warp_idx * ws in
+    let lanes = min ws (job.tb_threads - lane_base) in
     let init_mask = (1 lsl lanes) - 1 in
-    let tid_x = Array.make ws 0 in
-    let tid_y = Array.make ws 0 in
-    for lane = 0 to lanes - 1 do
-      let lin = base_tid + lane in
-      tid_x.(lane) <- lin mod job.block_x;
-      tid_y.(lane) <- lin / job.block_x
-    done;
     let regs = Array.make (num_regs * ws) 0. in
     List.iter
       (fun (reg, value) ->
@@ -315,15 +331,13 @@ let launch_tb sm tb_id =
         tb;
         init_mask;
         regs;
-        tid_x;
-        tid_y;
+        lane_base;
         pc = 0;
         active = init_mask;
         exited = 0;
         stk = Array.make (4 * frame_len) 0;
         depth = 0;
         ready_at = sm.now;
-        at_barrier = false;
         finished = false;
         pool_stamp = 0;
         slot = sm.policy.launch_warp ();
@@ -335,6 +349,7 @@ let launch_tb sm tb_id =
   let new_warps = List.init job.warps_per_tb make_warp in
   tb.tb_warps <- new_warps;
   List.iter (fun w -> push_warp sm w) new_warps;
+  sm.x_next <- -1;
   sm.resident_tbs <- sm.resident_tbs + 1;
   job.stats.Stats.tbs_launched <- job.stats.Stats.tbs_launched + 1;
   if sm.n_warps > job.stats.Stats.max_resident_warps then
@@ -346,66 +361,46 @@ let launch_tb sm tb_id =
 
 let ws_of sm = sm.job.cfg.Config.warp_size
 
-let special_value sm warp lane = function
-  | Bytecode.Sp_tid_x -> warp.tid_x.(lane)
-  | Bytecode.Sp_tid_y -> warp.tid_y.(lane)
-  | Bytecode.Sp_bid_x -> warp.tb.bid_x
-  | Bytecode.Sp_bid_y -> warp.tb.bid_y
-  | Bytecode.Sp_bdim_x -> sm.job.block_x
-  | Bytecode.Sp_bdim_y -> sm.job.block_y
-  | Bytecode.Sp_gdim_x -> sm.job.grid_x
-  | Bytecode.Sp_gdim_y -> sm.job.grid_y
+(* Unchecked lane access.  Decoding checked every register number
+   against the register count and every operand against the lane table,
+   so a register slice or operand view plus a lane is in bounds. *)
+let[@inline] ( .%() ) (a : float array) i = Array.unsafe_get a i
+let[@inline] ( .%()<- ) (a : float array) i (v : float) = Array.unsafe_set a i v
 
-(* Stage an operand's per-lane values into [dst] (every lane, active or
-   not: inactive entries are in bounds and never read).  Matching the
-   operand once outside the lane loop keeps the floats unboxed — a
-   per-lane [read] call would box its result on every one of the billions
-   of lane reads a grid run performs. *)
-let load_operand sm warp op (dst : float array) =
-  let ws = ws_of sm in
-  match op with
-  | Bytecode.Reg r ->
-    let base = r * ws in
-    for lane = 0 to ws - 1 do
-      dst.(lane) <- warp.regs.(base + lane)
-    done
-  | Bytecode.Imm f -> Array.fill dst 0 ws f
-  | Bytecode.Special Bytecode.Sp_tid_x ->
-    for lane = 0 to ws - 1 do
-      dst.(lane) <- float_of_int warp.tid_x.(lane)
-    done
-  | Bytecode.Special Bytecode.Sp_tid_y ->
-    for lane = 0 to ws - 1 do
-      dst.(lane) <- float_of_int warp.tid_y.(lane)
-    done
-  | Bytecode.Special s -> Array.fill dst 0 ws (float_of_int (special_value sm warp 0 s))
+(* a block index, the one operand kind that is neither in the register
+   file nor in the launch's lane table: staged into [dst] *)
+let stage_block_index bid (dst : float array) =
+  let v = float_of_int bid in
+  for lane = 0 to Array.length dst - 1 do
+    dst.%(lane) <- v
+  done
 
-(* Operand views: a [Reg] operand is already a contiguous unboxed slice
-   of the register file, so instead of copying it into scratch the ALU
-   loops read it in place — [view_a]/[view_b] set the backing array
-   ([x_va]/[x_vb]) and return the base offset.  Non-register operands
-   still stage into scratch.  Reading in place is safe even when the
-   destination register aliases a source: each lane reads only its own
-   slot, and the read happens before the store within the lane. *)
-let view_a sm warp op =
-  match op with
-  | Bytecode.Reg r ->
-    sm.x_va <- warp.regs;
-    r * ws_of sm
-  | _ ->
-    load_operand sm warp op sm.x_opa;
-    sm.x_va <- sm.x_opa;
-    0
+(* An operand view: the float array operand argument [i] reads its lanes
+   from ({!operand_lanes}) and the offset of lane 0 in it
+   ({!operand_base}).  A register is its slice of the warp's file, read
+   in place; an immediate or launch dimension is its slice of the lane
+   table; a thread index is the warp's part of its lane-table column.
+   Reading in place is safe even when the destination register aliases a
+   source: each lane reads only its own slot, and the read happens before
+   the store within the lane. *)
+let[@inline] operand_lanes warp (code : Decode.t) i (scratch : float array) =
+  match Array.unsafe_get code.Decode.srcs i with
+  | Decode.Reg -> warp.regs
+  | Decode.Bid_x ->
+    stage_block_index warp.tb.bid_x scratch;
+    scratch
+  | Decode.Bid_y ->
+    stage_block_index warp.tb.bid_y scratch;
+    scratch
+  | Decode.Imm | Decode.Bdim_x | Decode.Bdim_y | Decode.Gdim_x | Decode.Gdim_y
+  | Decode.Tid_x | Decode.Tid_y ->
+    code.Decode.lanes
 
-let view_b sm warp op =
-  match op with
-  | Bytecode.Reg r ->
-    sm.x_vb <- warp.regs;
-    r * ws_of sm
-  | _ ->
-    load_operand sm warp op sm.x_opb;
-    sm.x_vb <- sm.x_opb;
-    0
+let[@inline] operand_base warp (code : Decode.t) i =
+  let payload = Array.unsafe_get code.Decode.args i in
+  match Array.unsafe_get code.Decode.srcs i with
+  | Decode.Tid_x | Decode.Tid_y -> payload + warp.lane_base
+  | _ -> payload
 
 (* ---------------------------------------------------------------- *)
 (* Mask stack                                                        *)
@@ -576,7 +571,7 @@ let coalesce sm warp =
   sm.policy.mem_instr warp nlines;
   nlines
 
-let exec_global_load sm warp ~dst ~arr_id ~idx_reg =
+let exec_global_load sm warp ~dbase ~arr_id ~ibase =
   let ws = ws_of sm in
   let ga = global_of sm arr_id in
   let data = ga.data in
@@ -584,60 +579,57 @@ let exec_global_load sm warp ~dst ~arr_id ~idx_reg =
   let addrs = sm.x_addrs in
   let regs = warp.regs in
   let active = warp.active in
-  let ibase = idx_reg * ws in
-  let dbase = dst * ws in
   if active = (1 lsl ws) - 1 then
     for lane = 0 to ws - 1 do
-      let idx = int_of_float regs.(ibase + lane) in
+      let idx = int_of_float regs.%(ibase + lane) in
       check_bounds sm arr_id idx len;
-      addrs.(lane) <- ga.base + (idx * elem_bytes);
-      regs.(dbase + lane) <- data.(idx)
+      Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
+      regs.%(dbase + lane) <- data.%(idx)
     done
   else
     for lane = 0 to ws - 1 do
       if active land (1 lsl lane) <> 0 then begin
-        let idx = int_of_float regs.(ibase + lane) in
+        let idx = int_of_float regs.%(ibase + lane) in
         check_bounds sm arr_id idx len;
-        addrs.(lane) <- ga.base + (idx * elem_bytes);
-        regs.(dbase + lane) <- data.(idx)
+        Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
+        regs.%(dbase + lane) <- data.%(idx)
       end
     done;
   let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_load_instrs <-
     sm.job.stats.Stats.global_load_instrs + 1;
   let bypass = sm.job.bypass.(arr_id) in
-  sm.x_acc <- sm.now;
+  let ready = ref sm.now in
   for i = 0 to nlines - 1 do
     let t = issue_load_transaction ~bypass sm warp ~arr_id sm.x_lines.(i) in
-    if t > sm.x_acc then sm.x_acc <- t
+    if t > !ready then ready := t
   done;
-  sm.x_acc
+  !ready
 
-let exec_global_store sm warp ~arr_id ~idx_reg ~src =
+let exec_global_store sm warp ~arr_id ~ibase ~src =
   let ws = ws_of sm in
+  let code = sm.job.code in
   let ga = global_of sm arr_id in
   let data = ga.data in
   let len = Array.length data in
   let addrs = sm.x_addrs in
-  let sbase = view_a sm warp src in
-  let opa = sm.x_va in
+  let va = operand_lanes warp code src sm.x_opa and sbase = operand_base warp code src in
   let regs = warp.regs in
   let active = warp.active in
-  let ibase = idx_reg * ws in
   if active = (1 lsl ws) - 1 then
     for lane = 0 to ws - 1 do
-      let idx = int_of_float regs.(ibase + lane) in
+      let idx = int_of_float regs.%(ibase + lane) in
       check_bounds sm arr_id idx len;
-      addrs.(lane) <- ga.base + (idx * elem_bytes);
-      data.(idx) <- opa.(sbase + lane)
+      Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
+      data.%(idx) <- va.%(sbase + lane)
     done
   else
     for lane = 0 to ws - 1 do
       if active land (1 lsl lane) <> 0 then begin
-        let idx = int_of_float regs.(ibase + lane) in
+        let idx = int_of_float regs.%(ibase + lane) in
         check_bounds sm arr_id idx len;
-        addrs.(lane) <- ga.base + (idx * elem_bytes);
-        data.(idx) <- opa.(sbase + lane)
+        Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
+        data.%(idx) <- va.%(sbase + lane)
       end
     done;
   let nlines = coalesce sm warp in
@@ -650,11 +642,6 @@ let exec_global_store sm warp ~arr_id ~idx_reg ~src =
     issue_store_transaction sm sm.x_lines.(i)
   done
 
-let shared_of warp arr_id =
-  let arr = warp.tb.shared.(arr_id) in
-  if Array.length arr = 0 then sim_error "array id %d is not a shared array" arr_id
-  else arr
-
 (* shared memory: fixed latency, one LSU slot, no bank-conflict model *)
 let shared_ready sm =
   sm.job.stats.Stats.shared_instrs <- sm.job.stats.Stats.shared_instrs + 1;
@@ -666,17 +653,27 @@ let shared_ready sm =
 (* Barriers and retirement                                           *)
 (* ---------------------------------------------------------------- *)
 
+(* waiting at a barrier: live, with no ready cycle *)
+let[@inline] parked w = w.ready_at = max_int && not w.finished
+
 let rec release_warps sm = function
   | [] -> ()
   | w :: rest ->
-    if w.at_barrier then begin
-      w.at_barrier <- false;
-      w.ready_at <- sm.now + 1
+    if parked w then begin
+      w.ready_at <- sm.now + 1;
+      sm.parked <- sm.parked - 1
     end;
     release_warps sm rest
 
+(* a ready cycle moved earlier or a warp moved in [sm.warps]: scans start
+   from the oldest warp again *)
+let forget_skip sm =
+  sm.x_skip <- 0;
+  sm.x_skip_min <- max_int
+
 let release_barrier sm tb =
   release_warps sm tb.tb_warps;
+  forget_skip sm;
   tb.arrived <- 0
 
 let check_barrier_release sm tb =
@@ -698,6 +695,7 @@ let retire_tb sm tb =
     sm.warps.(i) <- sm.dummy_warp
   done;
   sm.n_warps <- !kept;
+  forget_skip sm;
   if sm.last_issued != sm.dummy_warp && sm.last_issued.tb == tb then
     sm.last_issued <- sm.dummy_warp;
   sm.resident_tbs <- sm.resident_tbs - 1;
@@ -705,6 +703,7 @@ let retire_tb sm tb =
 
 let exec_exit sm warp =
   warp.finished <- true;
+  warp.ready_at <- max_int;
   let tb = warp.tb in
   tb.unfinished <- tb.unfinished - 1;
   if tb.unfinished = 0 then retire_tb sm tb else check_barrier_release sm tb
@@ -744,374 +743,385 @@ let rec park_continuing (stk : int array) continuing b =
     park_continuing stk continuing (b - frame_len)
   end
 
-let exec_instr sm warp =
-  let cfg = sm.job.cfg in
+(* argument [i] of the instruction whose arguments start at [at] *)
+let[@inline] arg (args : int array) at i = Array.unsafe_get args (at + i)
+
+(* [cond]'s nonzero lanes among [active], as a mask *)
+let lanes_true (regs : float array) ~ws ~active ~cond =
+  let m = ref 0 in
+  for lane = 0 to ws - 1 do
+    if active land (1 lsl lane) <> 0 && regs.%(cond + lane) <> 0. then
+      m := !m lor (1 lsl lane)
+  done;
+  !m
+
+(* The two-operand ALU ops: one loop per opcode (the op match happens
+   once per instruction, not once per lane); fully-active warps — the
+   common case — take an unmasked loop with no per-lane bit test.  Float
+   and int variants of add/sub/mul share an arm: both are exact double
+   arithmetic. *)
+let exec_alu sm warp op ~d ~a ~b =
   let ws = ws_of sm in
-  let code = sm.job.prog.Bytecode.code in
-  if warp.pc < 0 || warp.pc >= Array.length code then
-    sim_error "kernel %s: pc %d out of range" sm.job.prog.Bytecode.name warp.pc;
-  let instr = code.(warp.pc) in
-  sm.job.stats.Stats.instructions <- sm.job.stats.Stats.instructions + 1;
-  sm.x_next_pc <- warp.pc + 1;
-  sm.x_ready <- sm.now + cfg.Config.alu_latency;
-  let active = warp.active in
-  let regs = warp.regs in
-  (match instr with
-  | Bytecode.Mov (dst, src) ->
-    let abase = view_a sm warp src in
-    let opa = sm.x_va in
-    let dbase = dst * ws in
-    if active = (1 lsl ws) - 1 then
-      (* register slices are ws-aligned: source and destination are either
-         the same slice or disjoint, so a blit is safe *)
-      Array.blit opa abase regs dbase ws
+  let code = sm.job.code in
+  let regs = warp.regs and active = warp.active in
+  let va = operand_lanes warp code a sm.x_opa and ab = operand_base warp code a in
+  let vb = operand_lanes warp code b sm.x_opb and bb = operand_base warp code b in
+  let full = active = (1 lsl ws) - 1 in
+  match op with
+  | Decode.Fadd | Decode.Iadd ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- va.%(ab + lane) +. vb.%(bb + lane)
+      done
     else
       for lane = 0 to ws - 1 do
         if active land (1 lsl lane) <> 0 then
-          regs.(dbase + lane) <- opa.(abase + lane)
+          regs.%(d + lane) <- va.%(ab + lane) +. vb.%(bb + lane)
       done
-  | Bytecode.Alu (op, dst, a, b) ->
-    let abase = view_a sm warp a in
-    let bbase = view_b sm warp b in
-    let opa = sm.x_va and opb = sm.x_vb in
-    let dbase = dst * ws in
-    let full = (1 lsl ws) - 1 in
-    (* one loop per opcode (the op match happens once per instruction, not
-       once per lane); fully-active warps — the common case — take an
-       unmasked loop with no per-lane bit test.  Float and int variants of
-       add/sub/mul share an arm: both are exact double arithmetic. *)
-    (match op with
-    | Bytecode.Fadd | Bytecode.Iadd ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- opa.(abase + lane) +. opb.(bbase + lane)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- opa.(abase + lane) +. opb.(bbase + lane)
-        done
-    | Bytecode.Fsub | Bytecode.Isub ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- opa.(abase + lane) -. opb.(bbase + lane)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- opa.(abase + lane) -. opb.(bbase + lane)
-        done
-    | Bytecode.Fmul | Bytecode.Imul ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- opa.(abase + lane) *. opb.(bbase + lane)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- opa.(abase + lane) *. opb.(bbase + lane)
-        done
-    | Bytecode.Fdiv ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- opa.(abase + lane) /. opb.(bbase + lane)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- opa.(abase + lane) /. opb.(bbase + lane)
-        done
-    | Bytecode.Idiv ->
+  | Decode.Fsub | Decode.Isub ->
+    if full then
       for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then begin
-          let divisor = int_of_float opb.(bbase + lane) in
-          if divisor = 0 then sim_error "integer division by zero"
-          else
-            regs.(dbase + lane) <-
-              float_of_int (int_of_float opa.(abase + lane) / divisor)
-        end
+        regs.%(d + lane) <- va.%(ab + lane) -. vb.%(bb + lane)
       done
-    | Bytecode.Imod ->
+    else
       for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then begin
-          let divisor = int_of_float opb.(bbase + lane) in
-          if divisor = 0 then sim_error "integer modulo by zero"
-          else
-            regs.(dbase + lane) <-
-              float_of_int (int_of_float opa.(abase + lane) mod divisor)
-        end
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- va.%(ab + lane) -. vb.%(bb + lane)
       done
-    | Bytecode.Cmp_lt ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) < opb.(bbase + lane) then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) < opb.(bbase + lane) then 1. else 0.)
-        done
-    | Bytecode.Cmp_le ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) <= opb.(bbase + lane) then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) <= opb.(bbase + lane) then 1. else 0.)
-        done
-    | Bytecode.Cmp_gt ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) > opb.(bbase + lane) then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) > opb.(bbase + lane) then 1. else 0.)
-        done
-    | Bytecode.Cmp_ge ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) >= opb.(bbase + lane) then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) >= opb.(bbase + lane) then 1. else 0.)
-        done
-    | Bytecode.Cmp_eq ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) = opb.(bbase + lane) then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) = opb.(bbase + lane) then 1. else 0.)
-        done
-    | Bytecode.Cmp_ne ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) <> opb.(bbase + lane) then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) <> opb.(bbase + lane) then 1. else 0.)
-        done
-    | Bytecode.Band ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) <> 0. && opb.(bbase + lane) <> 0. then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) <> 0. && opb.(bbase + lane) <> 0. then 1. else 0.)
-        done
-    | Bytecode.Bor ->
-      if active = full then
-        for lane = 0 to ws - 1 do
-          regs.(dbase + lane) <- (if opa.(abase + lane) <> 0. || opb.(bbase + lane) <> 0. then 1. else 0.)
-        done
-      else
-        for lane = 0 to ws - 1 do
-          if active land (1 lsl lane) <> 0 then
-            regs.(dbase + lane) <- (if opa.(abase + lane) <> 0. || opb.(bbase + lane) <> 0. then 1. else 0.)
-        done)
-  | Bytecode.Neg (dst, a) ->
-    let abase = view_a sm warp a in
-    let opa = sm.x_va in
-    let dbase = dst * ws in
+  | Decode.Fmul | Decode.Imul ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- va.%(ab + lane) *. vb.%(bb + lane)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- va.%(ab + lane) *. vb.%(bb + lane)
+      done
+  | Decode.Fdiv ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- va.%(ab + lane) /. vb.%(bb + lane)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- va.%(ab + lane) /. vb.%(bb + lane)
+      done
+  | Decode.Idiv ->
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then begin
+        let divisor = int_of_float vb.%(bb + lane) in
+        if divisor = 0 then sim_error "integer division by zero"
+        else
+          regs.%(d + lane) <- float_of_int (int_of_float va.%(ab + lane) / divisor)
+      end
+    done
+  | Decode.Imod ->
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then begin
+        let divisor = int_of_float vb.%(bb + lane) in
+        if divisor = 0 then sim_error "integer modulo by zero"
+        else
+          regs.%(d + lane) <- float_of_int (int_of_float va.%(ab + lane) mod divisor)
+      end
+    done
+  | Decode.Cmp_lt ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- (if va.%(ab + lane) < vb.%(bb + lane) then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- (if va.%(ab + lane) < vb.%(bb + lane) then 1. else 0.)
+      done
+  | Decode.Cmp_le ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- (if va.%(ab + lane) <= vb.%(bb + lane) then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- (if va.%(ab + lane) <= vb.%(bb + lane) then 1. else 0.)
+      done
+  | Decode.Cmp_gt ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- (if va.%(ab + lane) > vb.%(bb + lane) then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- (if va.%(ab + lane) > vb.%(bb + lane) then 1. else 0.)
+      done
+  | Decode.Cmp_ge ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- (if va.%(ab + lane) >= vb.%(bb + lane) then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- (if va.%(ab + lane) >= vb.%(bb + lane) then 1. else 0.)
+      done
+  | Decode.Cmp_eq ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- (if va.%(ab + lane) = vb.%(bb + lane) then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- (if va.%(ab + lane) = vb.%(bb + lane) then 1. else 0.)
+      done
+  | Decode.Cmp_ne ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <- (if va.%(ab + lane) <> vb.%(bb + lane) then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <- (if va.%(ab + lane) <> vb.%(bb + lane) then 1. else 0.)
+      done
+  | Decode.Band ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <-
+          (if va.%(ab + lane) <> 0. && vb.%(bb + lane) <> 0. then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <-
+            (if va.%(ab + lane) <> 0. && vb.%(bb + lane) <> 0. then 1. else 0.)
+      done
+  | Decode.Bor ->
+    if full then
+      for lane = 0 to ws - 1 do
+        regs.%(d + lane) <-
+          (if va.%(ab + lane) <> 0. || vb.%(bb + lane) <> 0. then 1. else 0.)
+      done
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then
+          regs.%(d + lane) <-
+            (if va.%(ab + lane) <> 0. || vb.%(bb + lane) <> 0. then 1. else 0.)
+      done
+  | _ -> invalid_arg "Sm.exec_alu: not a two-operand ALU op"
+
+let exec_instr sm warp =
+  let cfg = sm.job.cfg in
+  let ws = ws_of sm in
+  let code = sm.job.code in
+  let pc = warp.pc in
+  (* decoding proved every pc a warp can reach in range *)
+  let args = code.Decode.args and at = pc * Decode.stride in
+  sm.job.stats.Stats.instructions <- sm.job.stats.Stats.instructions + 1;
+  let next_pc = ref (pc + 1) in
+  let ready = ref (sm.now + cfg.Config.alu_latency) in
+  let active = warp.active in
+  let regs = warp.regs in
+  (match Array.unsafe_get code.Decode.ops pc with
+  | ( Decode.Fadd | Decode.Iadd | Decode.Fsub | Decode.Isub | Decode.Fmul
+    | Decode.Imul | Decode.Fdiv | Decode.Idiv | Decode.Imod | Decode.Cmp_lt
+    | Decode.Cmp_le | Decode.Cmp_gt | Decode.Cmp_ge | Decode.Cmp_eq
+    | Decode.Cmp_ne | Decode.Band | Decode.Bor ) as op ->
+    exec_alu sm warp op ~d:(arg args at 0) ~a:(at + 1) ~b:(at + 2)
+  | Decode.Mov ->
+    let d = arg args at 0 in
+    let va = operand_lanes warp code (at + 1) sm.x_opa
+    and ab = operand_base warp code (at + 1) in
+    if active = (1 lsl ws) - 1 then
+      (* register slices are ws-aligned: source and destination are either
+         the same slice or disjoint, and the lane table is another array,
+         so a blit is safe *)
+      Array.blit va ab regs d ws
+    else
+      for lane = 0 to ws - 1 do
+        if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- va.%(ab + lane)
+      done
+  | Decode.Neg ->
+    let d = arg args at 0 in
+    let va = operand_lanes warp code (at + 1) sm.x_opa
+    and ab = operand_base warp code (at + 1) in
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- -.va.%(ab + lane)
+    done
+  | Decode.Not ->
+    let d = arg args at 0 in
+    let va = operand_lanes warp code (at + 1) sm.x_opa
+    and ab = operand_base warp code (at + 1) in
     for lane = 0 to ws - 1 do
       if active land (1 lsl lane) <> 0 then
-        regs.(dbase + lane) <- -.opa.(abase + lane)
+        regs.%(d + lane) <- (if va.%(ab + lane) = 0. then 1. else 0.)
     done
-  | Bytecode.Not (dst, a) ->
-    let abase = view_a sm warp a in
-    let opa = sm.x_va in
-    let dbase = dst * ws in
+  | Decode.Trunc ->
+    let d = arg args at 0 in
+    let va = operand_lanes warp code (at + 1) sm.x_opa
+    and ab = operand_base warp code (at + 1) in
     for lane = 0 to ws - 1 do
       if active land (1 lsl lane) <> 0 then
-        regs.(dbase + lane) <- (if opa.(abase + lane) = 0. then 1. else 0.)
+        regs.%(d + lane) <- float_of_int (int_of_float va.%(ab + lane))
     done
-  | Bytecode.Trunc (dst, a) ->
-    let abase = view_a sm warp a in
-    let opa = sm.x_va in
-    let dbase = dst * ws in
+  | Decode.Sel ->
+    let d = arg args at 0 and c = arg args at 1 in
+    let va = operand_lanes warp code (at + 2) sm.x_opa
+    and ab = operand_base warp code (at + 2) in
+    let vb = operand_lanes warp code (at + 3) sm.x_opb
+    and bb = operand_base warp code (at + 3) in
     for lane = 0 to ws - 1 do
       if active land (1 lsl lane) <> 0 then
-        regs.(dbase + lane) <- float_of_int (int_of_float opa.(abase + lane))
+        regs.%(d + lane) <-
+          (if regs.%(c + lane) <> 0. then va.%(ab + lane) else vb.%(bb + lane))
     done
-  | Bytecode.Sel (dst, cond, a, b) ->
-    let abase = view_a sm warp a in
-    let bbase = view_b sm warp b in
-    let opa = sm.x_va and opb = sm.x_vb in
-    let cbase = cond * ws in
-    let dbase = dst * ws in
-    for lane = 0 to ws - 1 do
-      if active land (1 lsl lane) <> 0 then
-        regs.(dbase + lane) <-
-          (if regs.(cbase + lane) <> 0. then opa.(abase + lane)
-           else opb.(bbase + lane))
-    done
-  | Bytecode.Call (fn, dst, args) ->
-    (match args with
-    | [ a ] ->
-      Minicuda.Builtins.eval_lanes fn ~regs ~ws ~mask:active ~dst ~a ~b:a
-    | [ a; b ] ->
-      Minicuda.Builtins.eval_lanes fn ~regs ~ws ~mask:active ~dst ~a ~b
-    | _ ->
-      sim_error "call to %s with %d arguments"
-        (Minicuda.Builtins.name fn) (List.length args));
-    sm.x_ready <- sm.now + (2 * cfg.Config.alu_latency)
-  | Bytecode.Ld (Bytecode.Global, dst, arr_id, idx_reg) ->
-    if active <> 0 then sm.x_ready <- exec_global_load sm warp ~dst ~arr_id ~idx_reg
-  | Bytecode.St (Bytecode.Global, arr_id, idx_reg, src) ->
+  | Decode.Call ->
+    Minicuda.Builtins.eval_lanes
+      (Decode.builtin (arg args at 3))
+      ~regs ~ws ~mask:active ~dst:(arg args at 0) ~a:(arg args at 1) ~b:(arg args at 2);
+    ready := sm.now + (2 * cfg.Config.alu_latency)
+  | Decode.Ld_global ->
+    if active <> 0 then
+      ready := exec_global_load sm warp ~dbase:(arg args at 0) ~arr_id:(arg args at 1) ~ibase:(arg args at 2)
+  | Decode.St_global ->
     if active <> 0 then begin
-      exec_global_store sm warp ~arr_id ~idx_reg ~src;
-      sm.x_ready <- sm.now + 1
+      exec_global_store sm warp ~arr_id:(arg args at 0) ~ibase:(arg args at 1)
+        ~src:(at + 2);
+      ready := sm.now + 1
     end
-  | Bytecode.Ld (Bytecode.Shared, dst, arr_id, idx_reg) ->
+  | Decode.Ld_shared ->
     if active <> 0 then begin
-      let arr = shared_of warp arr_id in
+      let d = arg args at 0 and arr_id = arg args at 1 and ibase = arg args at 2 in
+      let arr = warp.tb.shared.(arr_id) in
       let len = Array.length arr in
-      let ibase = idx_reg * ws in
-      let dbase = dst * ws in
       for lane = 0 to ws - 1 do
         if active land (1 lsl lane) <> 0 then begin
-          let idx = int_of_float regs.(ibase + lane) in
+          let idx = int_of_float regs.%(ibase + lane) in
           check_bounds sm arr_id idx len;
-          regs.(dbase + lane) <- arr.(idx)
+          regs.%(d + lane) <- arr.%(idx)
         end
       done;
-      sm.x_ready <- shared_ready sm
+      ready := shared_ready sm
     end
-  | Bytecode.St (Bytecode.Shared, arr_id, idx_reg, src) ->
+  | Decode.St_shared ->
     if active <> 0 then begin
-      let arr = shared_of warp arr_id in
+      let arr_id = arg args at 0 and ibase = arg args at 1 in
+      let arr = warp.tb.shared.(arr_id) in
       let len = Array.length arr in
-      let sbase = view_a sm warp src in
-      let opa = sm.x_va in
-      let ibase = idx_reg * ws in
+      let va = operand_lanes warp code (at + 2) sm.x_opa
+      and sbase = operand_base warp code (at + 2) in
       for lane = 0 to ws - 1 do
         if active land (1 lsl lane) <> 0 then begin
-          let idx = int_of_float regs.(ibase + lane) in
+          let idx = int_of_float regs.%(ibase + lane) in
           check_bounds sm arr_id idx len;
-          arr.(idx) <- opa.(sbase + lane)
+          arr.%(idx) <- va.%(sbase + lane)
         end
       done;
-      sm.x_ready <- shared_ready sm
+      ready := shared_ready sm
     end
-  | Bytecode.Push_if (cond_reg, skip) ->
-    let cbase = cond_reg * ws in
-    sm.x_acc <- 0;
-    for lane = 0 to ws - 1 do
-      if active land (1 lsl lane) <> 0 && regs.(cbase + lane) <> 0. then
-        sm.x_acc <- sm.x_acc lor (1 lsl lane)
-    done;
-    let then_mask = sm.x_acc in
+  | Decode.Push_if ->
+    let then_mask = lanes_true regs ~ws ~active ~cond:(arg args at 0) in
     let else_mask = active land lnot then_mask in
     push_frame warp ~kind:k_if ~outer:active ~pending_else:else_mask
       ~loop_pc:(innermost_loop warp);
     warp.active <- then_mask;
-    if then_mask = 0 then sm.x_next_pc <- skip;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Else_mask skip ->
+    if then_mask = 0 then next_pc := arg args at 1;
+    ready := sm.now + 1
+  | Decode.Else_mask ->
     if warp.depth = 0 then sim_error "else without matching push_if";
     let b = top warp in
     warp.active <- warp.stk.(b + o_else);
     warp.stk.(b + o_else) <- 0;
-    if warp.active = 0 then sm.x_next_pc <- skip;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Pop_mask ->
+    if warp.active = 0 then next_pc := arg args at 0;
+    ready := sm.now + 1
+  | Decode.Pop_mask ->
     if warp.depth = 0 then sim_error "pop on empty mask stack";
     warp.active <- warp.stk.(top warp + o_outer) land lnot warp.exited;
     warp.depth <- warp.depth - 1;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Loop_begin ->
+    ready := sm.now + 1
+  | Decode.Loop_begin ->
     if sm.policy.loop_enter warp then begin
-      push_frame warp ~kind:k_loop ~outer:active ~pending_else:0
-        ~loop_pc:warp.pc;
-      sm.x_ready <- sm.now + 1
+      push_frame warp ~kind:k_loop ~outer:active ~pending_else:0 ~loop_pc:pc;
+      ready := sm.now + 1
     end
     else begin
       (* the loop is at its predicted capacity: hold the warp at the
          entry and retry later (DAWS "stops the new warp") *)
-      sm.x_next_pc <- warp.pc;
-      sm.x_ready <- sm.now + 16
+      next_pc := pc;
+      ready := sm.now + 16
     end
-  | Bytecode.Break_if_false (cond_reg, exit_pc) ->
-    let cbase = cond_reg * ws in
-    sm.x_acc <- 0;
-    for lane = 0 to ws - 1 do
-      if active land (1 lsl lane) <> 0 && regs.(cbase + lane) <> 0. then
-        sm.x_acc <- sm.x_acc lor (1 lsl lane)
-    done;
-    warp.active <- sm.x_acc;
-    if sm.x_acc = 0 then sm.x_next_pc <- exit_pc;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Jump target ->
+  | Decode.Break_if_false ->
+    let stay = lanes_true regs ~ws ~active ~cond:(arg args at 0) in
+    warp.active <- stay;
+    if stay = 0 then next_pc := arg args at 1;
+    ready := sm.now + 1
+  | Decode.Jump ->
     if sm.policy.back_edge warp then begin
-      sm.x_next_pc <- target;
-      sm.x_ready <- sm.now + 1
+      next_pc := arg args at 0;
+      ready := sm.now + 1
     end
     else begin
       (* descheduled at the back edge: the loop's learned divergence says
          too many warps are inside; retry when older warps have left *)
-      sm.x_next_pc <- warp.pc;
-      sm.x_ready <- sm.now + 16
+      next_pc := pc;
+      ready := sm.now + 16
     end
-  | Bytecode.Loop_end ->
+  | Decode.Loop_end ->
     sm.policy.loop_exit warp;
     if warp.depth = 0 then sim_error "loop_end on empty mask stack";
     warp.active <- warp.stk.(top warp + o_outer) land lnot warp.exited;
     warp.depth <- warp.depth - 1;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Bar ->
-    warp.at_barrier <- true;
-    warp.tb.arrived <- warp.tb.arrived + 1;
+    ready := sm.now + 1
+  | Decode.Bar ->
+    let tb = warp.tb in
+    tb.arrived <- tb.arrived + 1;
     sm.job.stats.Stats.barriers <- sm.job.stats.Stats.barriers + 1;
-    check_barrier_release sm warp.tb
-  | Bytecode.Ret ->
-    let retiring = active in
-    warp.exited <- warp.exited lor retiring;
+    if tb.arrived >= tb.unfinished then
+      (* the last to arrive releases the parked ones and goes on after
+         its own latency *)
+      release_barrier sm tb
+    else begin
+      ready := max_int;
+      sm.parked <- sm.parked + 1
+    end
+  | Decode.Ret ->
+    warp.exited <- warp.exited lor active;
     warp.active <- 0;
-    clear_retiring warp retiring;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Brk ->
+    clear_retiring warp active;
+    ready := sm.now + 1
+  | Decode.Brk ->
     clear_breaking warp.stk active (top warp);
     warp.active <- 0;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Cont ->
+    ready := sm.now + 1
+  | Decode.Cont ->
     park_continuing warp.stk active (top warp);
     warp.active <- 0;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Rejoin ->
+    ready := sm.now + 1
+  | Decode.Rejoin ->
     let b = top warp in
     if b < 0 || warp.stk.(b + o_kind) <> k_loop then
       sim_error "rejoin without an innermost loop frame";
     warp.active <- (warp.active lor warp.stk.(b + o_cont)) land lnot warp.exited;
     warp.stk.(b + o_cont) <- 0;
-    sm.x_ready <- sm.now + 1
-  | Bytecode.Exit -> exec_exit sm warp);
+    ready := sm.now + 1
+  | Decode.Exit -> exec_exit sm warp);
   if not warp.finished then begin
-    warp.pc <- sm.x_next_pc;
-    warp.ready_at <- imax sm.x_ready (sm.now + 1)
+    warp.pc <- !next_pc;
+    warp.ready_at <- imax !ready (sm.now + 1)
   end
 
 (* ---------------------------------------------------------------- *)
 (* Scheduling                                                        *)
 (* ---------------------------------------------------------------- *)
 
-let[@inline] issuable warp sm = (not warp.finished) && (not warp.at_barrier) && warp.ready_at <= sm.now
+let[@inline] issuable warp sm = warp.ready_at <= sm.now
 
 (* barrier-drain rule shared by every scheduler-level throttle: a TB with a
    warp parked at a barrier keeps all its warps schedulable, or the barrier
    could never complete *)
-let draining tb = List.exists (fun w -> w.at_barrier) tb.tb_warps
+let draining tb = tb.arrived > 0
 
 let pool_add sm w =
   if sm.n_pool = Array.length sm.pool then begin
@@ -1145,62 +1155,89 @@ let pool_for_pick sm fill =
    assigned monotonically at launch and TB retirement compacts stably.
    The first issuable warp in array order IS the greedy-then-oldest pick,
    so the scan stops there instead of walking every resident warp. *)
-let rec gto_scan sm (arr : warp array) n i =
+let rec pool_scan sm (arr : warp array) n i =
   if i = n then sm.dummy_warp
   else
     let w = arr.(i) in
-    if issuable w sm then w else gto_scan sm arr n (i + 1)
+    if issuable w sm then w else pool_scan sm arr n (i + 1)
+
+(* The scan of the resident warps (no pool filter) folds the ready cycles
+   it passes into [m] and leaves what it learned behind:
+
+   - the warps before the one it picks are all unready, with ready
+     cycles of at least [m]: while [m] is in the future none of them can
+     issue, and none can change (a warp changes its own ready cycle only
+     by issuing; the exceptions, a barrier release and a TB retirement,
+     call [forget_skip]), so later picks and [next_event] start after
+     them ([x_skip], [x_skip_min]);
+   - when it picks nothing it has read every warp, and [m] is the SM's
+     next event once the step ends ([x_next]). *)
+let rec gto_scan sm (arr : warp array) n now i m =
+  if i = n then begin
+    sm.x_skip <- n;
+    sm.x_skip_min <- m;
+    sm.x_next <- m;
+    sm.dummy_warp
+  end
+  else
+    let w = Array.unsafe_get arr i in
+    let r = w.ready_at in
+    if r <= now then begin
+      sm.x_skip <- i;
+      sm.x_skip_min <- m;
+      w
+    end
+    else gto_scan sm arr n now (i + 1) (if r < m then r else m)
 
 (* Without a pool filter the pool is every resident warp, so the
    pick/next-event scans walk [sm.warps] directly and nothing is copied or
    stamped.  This is the common case: the baseline and all compiler-side
-   schemes (CATT, fixed, bypass) run with no scheduler-level throttle. *)
+   schemes (CATT, fixed, bypass) run with no scheduler-level throttle.
+   The dummy warp is never issuable, so it needs no test of its own. *)
 let pick_gto sm =
   match sm.policy.pool_filter with
   | None ->
     let last = sm.last_issued in
-    if last != sm.dummy_warp && issuable last sm then last
-    else gto_scan sm sm.warps sm.n_warps 0
+    if issuable last sm then last
+    else if sm.x_skip_min > sm.now then
+      gto_scan sm sm.warps sm.n_warps sm.now sm.x_skip sm.x_skip_min
+    else gto_scan sm sm.warps sm.n_warps sm.now 0 max_int
   | Some fill ->
     pool_for_pick sm fill;
     let last = sm.last_issued in
-    if last != sm.dummy_warp && issuable last sm && last.pool_stamp = sm.pool_gen
-    then last
-    else gto_scan sm sm.pool sm.n_pool 0
+    if issuable last sm && last.pool_stamp = sm.pool_gen then last
+    else pool_scan sm sm.pool sm.n_pool 0
 
-let rec lrr_scan sm (arr : warp array) n i tries =
-  if tries = n then sm.dummy_warp
+let rec lrr_scan sm (arr : warp array) n i =
+  if i = n then sm.dummy_warp
   else
     let w = arr.((sm.rr_cursor + i) mod n) in
     if issuable w sm then begin
       sm.rr_cursor <- (sm.rr_cursor + i + 1) mod n;
       w
     end
-    else lrr_scan sm arr n (i + 1) (tries + 1)
+    else lrr_scan sm arr n (i + 1)
 
 let pick_lrr sm =
   match sm.policy.pool_filter with
-  | None -> if sm.n_warps = 0 then sm.dummy_warp else lrr_scan sm sm.warps sm.n_warps 0 0
+  | None -> if sm.n_warps = 0 then sm.dummy_warp else lrr_scan sm sm.warps sm.n_warps 0
   | Some fill ->
     pool_for_pick sm fill;
-    if sm.n_pool = 0 then sm.dummy_warp else lrr_scan sm sm.pool sm.n_pool 0 0
+    if sm.n_pool = 0 then sm.dummy_warp else lrr_scan sm sm.pool sm.n_pool 0
 
 (** The picked warp, or the SM's dummy sentinel when nothing can issue. *)
 let pick_warp sm =
   match sm.job.sched with Gto -> pick_gto sm | Lrr -> pick_lrr sm
 
-(* Minimum ready time over schedulable warps, with an early exit: the
-   result is clamped up to [sm.now] by {!next_event}, so once any warp is
-   ready at or before [sm.now] nothing later in the scan can change the
-   clamped answer. *)
-let rec min_ready sm (arr : warp array) n i acc =
-  if i = n || acc <= sm.now then acc
+(* Minimum ready time over the warps, with an early exit: the result is
+   clamped up to [sm.now] by {!next_event}, so once any warp is ready at
+   or before [sm.now] nothing later in the scan can change the clamped
+   answer.  Finished and parked warps read [max_int]. *)
+let rec min_ready (arr : warp array) n now i acc =
+  if i = n || acc <= now then acc
   else
-    let w = arr.(i) in
-    let acc =
-      if w.finished || w.at_barrier || w.ready_at >= acc then acc else w.ready_at
-    in
-    min_ready sm arr n (i + 1) acc
+    let r = (Array.unsafe_get arr i).ready_at in
+    min_ready arr n now (i + 1) (if r < acc then r else acc)
 
 (** Earliest cycle at which some warp could issue, clamped up to
     [sm.now] (a warp whose latency expired while the SM was busy issues
@@ -1213,18 +1250,26 @@ let next_event sm =
      taken from the cap but events consider everyone) *)
   let m =
     match sm.policy.pool_filter with
-    | None -> min_ready sm sm.warps sm.n_warps 0 max_int
+    | None ->
+      (* a failed pick in the last step read every warp after its last
+         instruction; only a TB launch (which resets [x_next]) changes a
+         ready cycle between that scan and here *)
+      let m = sm.x_next in
+      if m >= 0 then begin
+        sm.x_next <- -1;
+        m
+      end
+      else if sm.x_skip_min > sm.now then
+        min_ready sm.warps sm.n_warps sm.now sm.x_skip sm.x_skip_min
+      else min_ready sm.warps sm.n_warps sm.now 0 max_int
     | Some fill ->
       fill_pool sm fill;
       sm.x_pool_fresh <- true;
-      min_ready sm sm.pool sm.n_pool 0 max_int
+      min_ready sm.pool sm.n_pool sm.now 0 max_int
   in
   if m = max_int then max_int else imax m sm.now
 
 let has_warps sm = sm.n_warps > 0
-
-let rec any_at_barrier (arr : warp array) n i =
-  i < n && (arr.(i).at_barrier || any_at_barrier arr n (i + 1))
 
 (* Classify a forwarded idle gap [sm.now, until) for the profiler,
    mirroring the Stats attribution (barrier wait wins when any resident
@@ -1239,7 +1284,7 @@ let rec any_at_barrier (arr : warp array) n i =
 let profile_gap p sm ~until =
   let now = sm.now in
   let gap = until - now in
-  if any_at_barrier sm.warps sm.n_warps 0 then begin
+  if sm.parked > 0 then begin
     Profile.Collector.add_idle p ~sm:sm.id ~kind:Profile.Stall.Barrier_wait
       ~cycles:gap;
     Profile.Collector.record_gap_interval p ~sm:sm.id
@@ -1248,9 +1293,8 @@ let profile_gap p sm ~until =
   else begin
     let earliest = ref max_int in
     for i = 0 to sm.n_warps - 1 do
-      let w = sm.warps.(i) in
-      if (not w.finished) && (not w.at_barrier) && w.ready_at < !earliest then
-        earliest := w.ready_at
+      let r = sm.warps.(i).ready_at in
+      if r < !earliest then earliest := r
     done;
     let throttled =
       if !earliest < until then until - imax !earliest now else 0
@@ -1272,7 +1316,7 @@ let profile_gap p sm ~until =
   for i = 0 to sm.n_warps - 1 do
     let w = sm.warps.(i) in
     if not w.finished then
-      if w.at_barrier then
+      if parked w then
         Profile.Collector.add_warp_wait p ~sm:sm.id ~warp:w.age
           ~kind:Profile.Stall.Barrier_wait ~cycles:gap
       else if w.ready_at >= until then
@@ -1321,7 +1365,7 @@ let step_at sm ~t =
       (* attribute the forwarded idle gap: barrier wait if any resident
          warp is parked at a barrier, memory-latency exposure otherwise *)
       let gap = t - sm.now in
-      if any_at_barrier sm.warps sm.n_warps 0 then
+      if sm.parked > 0 then
         sm.job.stats.Stats.barrier_idle_cycles <-
           sm.job.stats.Stats.barrier_idle_cycles + gap
       else

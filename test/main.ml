@@ -5,4 +5,4 @@ let () =
    @ Test_extensions.tests @ Test_more.tests @ Test_properties.tests
    @ Test_golden.tests @ Test_parallel.tests @ Test_sanitize.tests
    @ Test_serve.tests @ Test_staticmodel.tests @ Test_alloc.tests
-   @ Test_reuse.tests @ Test_bench.tests)
+   @ Test_reuse.tests @ Test_bench.tests @ Test_decode.tests)

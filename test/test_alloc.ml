@@ -230,6 +230,45 @@ let check_launch_words_per_instr (name, throttle) =
     Alcotest.failf "%s launch allocates %.2f words per instruction (%d instrs)"
       name per_instr stats.Gpusim.Stats.instructions
 
+(* What launching a warp allocates: its register file, record and mask
+   stack, plus its share of the thread block — 125 words for this
+   two-register kernel, 65 of them the register file.  Thread indices
+   live in the launch's lane tables, so nothing but the register file
+   grows with the warp size; two per-warp lane arrays would add 66 words
+   and fail the bound.  Two launches that differ only in their grid size
+   differ only in the warps they launch, so their difference is per
+   warp. *)
+let test_words_per_warp () =
+  let prog =
+    Gpusim.Codegen.compile_kernel
+      (Minicuda.Parser.parse_kernel
+         "__global__ void k(float *a) { a[blockIdx.x * blockDim.x + threadIdx.x] = 1.0; }")
+  in
+  let cfg = Gpusim.Config.scaled ~num_sms:2 ~onchip_bytes:(32 * 1024) () in
+  let ws = cfg.Gpusim.Config.warp_size in
+  let words grid =
+    let dev = Gpusim.Gpu.create cfg in
+    Gpusim.Gpu.upload dev "a" (Array.make (grid * 64) 0.);
+    let l =
+      Gpusim.Gpu.default_launch ~prog ~grid:(grid, 1) ~block:(64, 1)
+        [ Gpusim.Gpu.Arr "a" ]
+    in
+    ignore (Gpusim.Gpu.launch dev l);
+    (* [Gc.minor_words] for the minor heap: [Gc.counters]' minor figure
+       is not exact between collections on OCaml 5.1 *)
+    let _, promoted0, major0 = Gc.counters () and minor0 = Gc.minor_words () in
+    ignore (Gpusim.Gpu.launch dev l);
+    let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let small = 8 and large = 72 in
+  let per_warp = (words large -. words small) /. float_of_int (2 * (large - small)) in
+  let limit = float_of_int ((prog.Gpusim.Bytecode.num_regs * ws) + 96) in
+  if per_warp > limit then
+    Alcotest.failf "launching a warp allocates %.1f words (limit %.0f: its %d \
+                    registers plus 96)"
+      per_warp limit prog.Gpusim.Bytecode.num_regs
+
 let tests =
   [
     ( "alloc.hooks",
@@ -242,6 +281,7 @@ let tests =
         Alcotest.test_case "builtin lanes" `Quick test_builtin_lanes;
         Alcotest.test_case "workload input draws" `Quick test_rng_draws;
         Alcotest.test_case "warm memo hit" `Quick test_memo_hit;
+        Alcotest.test_case "words per warp launched" `Quick test_words_per_warp;
         Alcotest.test_case "CCWS launch per instruction" `Quick (fun () ->
             check_launch_words_per_instr ("CCWS", `Ccws));
         Alcotest.test_case "launch per instruction, other policies" `Quick

@@ -115,6 +115,17 @@ let test_key_covers_every_input () =
     (List.length keys + 1)
     (List.length (List.sort_uniq compare (k :: keys)))
 
+(* BFS launches each of its two programs six times: the sequence's
+   digests, each program rendered once, are its launches' digests. *)
+let test_sequence_digests () =
+  let cfg = Experiments.Configs.max_l1d () and w = bfs () in
+  let prepared = ok (Runner.prepare_all cfg w Runner.Baseline) in
+  let launches = List.map (fun (_, l, _) -> l) (Runner.launches_of cfg w Runner.Baseline prepared) in
+  Alcotest.(check int) "BFS launches" 12 (List.length launches);
+  Alcotest.(check (list string)) "one digest per launch"
+    (List.map (fun l -> Digest.to_hex (Gpu.launch_digest cfg l)) launches)
+    (List.map Digest.to_hex (Gpu.launch_digests cfg launches))
+
 (* ------------------------------------------------------------------ *)
 (* Counts and answers over a small static grid                         *)
 (* ------------------------------------------------------------------ *)
@@ -355,6 +366,8 @@ let tests =
           test_bt_schemes_share_a_key;
         Alcotest.test_case "launch key covers every input" `Quick
           test_key_covers_every_input;
+        Alcotest.test_case "sequence digests are per-launch digests" `Quick
+          test_sequence_digests;
         Alcotest.test_case "static grid counts, both orders" `Quick
           test_static_grid_counts;
         Alcotest.test_case "index entry states" `Quick test_index_entry_states;
