@@ -571,30 +571,51 @@ let coalesce sm warp =
   sm.policy.mem_instr warp nlines;
   nlines
 
+(* The lane loops of a global access.  Each is a leaf that calls
+   nothing, so its loop state stays in registers (a call in the loop body
+   spills every live value on every lane).  Each runs the active lanes
+   in lane order, [full] saying all [ws] are active, and returns the
+   first lane whose index is out of bounds, or -1; the caller raises, so
+   the lanes before it have run, as when the check raised in the loop. *)
+let rec gather (regs : float array) dbase ibase (data : float array) base
+    (addrs : int array) ~full active lane ws =
+  if lane = ws then -1
+  else if (not full) && active land (1 lsl lane) = 0 then
+    gather regs dbase ibase data base addrs ~full active (lane + 1) ws
+  else
+    let idx = int_of_float regs.%(ibase + lane) in
+    if idx < 0 || idx >= Array.length data then lane
+    else begin
+      Array.unsafe_set addrs lane (base + (idx * elem_bytes));
+      regs.%(dbase + lane) <- data.%(idx);
+      gather regs dbase ibase data base addrs ~full active (lane + 1) ws
+    end
+
+let rec scatter (regs : float array) ibase (data : float array) base
+    (addrs : int array) (va : float array) sbase ~full active lane ws =
+  if lane = ws then -1
+  else if (not full) && active land (1 lsl lane) = 0 then
+    scatter regs ibase data base addrs va sbase ~full active (lane + 1) ws
+  else
+    let idx = int_of_float regs.%(ibase + lane) in
+    if idx < 0 || idx >= Array.length data then lane
+    else begin
+      Array.unsafe_set addrs lane (base + (idx * elem_bytes));
+      data.%(idx) <- va.%(sbase + lane);
+      scatter regs ibase data base addrs va sbase ~full active (lane + 1) ws
+    end
+
+(* the out-of-bounds lane a lane loop stopped at, if any *)
+let check_lane sm warp ~arr_id ~ibase ~len bad =
+  if bad >= 0 then bounds_error sm arr_id (int_of_float warp.regs.(ibase + bad)) len
+
 let exec_global_load sm warp ~dbase ~arr_id ~ibase =
   let ws = ws_of sm in
   let ga = global_of sm arr_id in
-  let data = ga.data in
-  let len = Array.length data in
-  let addrs = sm.x_addrs in
-  let regs = warp.regs in
   let active = warp.active in
-  if active = (1 lsl ws) - 1 then
-    for lane = 0 to ws - 1 do
-      let idx = int_of_float regs.%(ibase + lane) in
-      check_bounds sm arr_id idx len;
-      Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
-      regs.%(dbase + lane) <- data.%(idx)
-    done
-  else
-    for lane = 0 to ws - 1 do
-      if active land (1 lsl lane) <> 0 then begin
-        let idx = int_of_float regs.%(ibase + lane) in
-        check_bounds sm arr_id idx len;
-        Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
-        regs.%(dbase + lane) <- data.%(idx)
-      end
-    done;
+  check_lane sm warp ~arr_id ~ibase ~len:(Array.length ga.data)
+    (gather warp.regs dbase ibase ga.data ga.base sm.x_addrs
+       ~full:(active = (1 lsl ws) - 1) active 0 ws);
   let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_load_instrs <-
     sm.job.stats.Stats.global_load_instrs + 1;
@@ -610,28 +631,11 @@ let exec_global_store sm warp ~arr_id ~ibase ~src =
   let ws = ws_of sm in
   let code = sm.job.code in
   let ga = global_of sm arr_id in
-  let data = ga.data in
-  let len = Array.length data in
-  let addrs = sm.x_addrs in
-  let va = operand_lanes warp code src sm.x_opa and sbase = operand_base warp code src in
-  let regs = warp.regs in
   let active = warp.active in
-  if active = (1 lsl ws) - 1 then
-    for lane = 0 to ws - 1 do
-      let idx = int_of_float regs.%(ibase + lane) in
-      check_bounds sm arr_id idx len;
-      Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
-      data.%(idx) <- va.%(sbase + lane)
-    done
-  else
-    for lane = 0 to ws - 1 do
-      if active land (1 lsl lane) <> 0 then begin
-        let idx = int_of_float regs.%(ibase + lane) in
-        check_bounds sm arr_id idx len;
-        Array.unsafe_set addrs lane (ga.base + (idx * elem_bytes));
-        data.%(idx) <- va.%(sbase + lane)
-      end
-    done;
+  let va = operand_lanes warp code src sm.x_opa and sbase = operand_base warp code src in
+  check_lane sm warp ~arr_id ~ibase ~len:(Array.length ga.data)
+    (scatter warp.regs ibase ga.data ga.base sm.x_addrs va sbase
+       ~full:(active = (1 lsl ws) - 1) active 0 ws);
   let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_store_instrs <-
     sm.job.stats.Stats.global_store_instrs + 1;
@@ -755,161 +759,184 @@ let lanes_true (regs : float array) ~ws ~active ~cond =
   done;
   !m
 
-(* The two-operand ALU ops: one loop per opcode (the op match happens
-   once per instruction, not once per lane); fully-active warps — the
-   common case — take an unmasked loop with no per-lane bit test.  Float
-   and int variants of add/sub/mul share an arm: both are exact double
-   arithmetic. *)
+(* The two-operand ALU ops: one leaf loop per opcode (the op match
+   happens once per instruction, not once per lane, and a leaf keeps its
+   loop state in registers); fully-active warps — the common case — take
+   an unmasked loop with no per-lane bit test.  Float and int variants
+   of add/sub/mul share a loop: both are exact double arithmetic. *)
+let alu_add (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (va.%(ab + lane) +. vb.%(bb + lane))
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (va.%(ab + lane) +. vb.%(bb + lane))
+    done
+
+let alu_sub (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (va.%(ab + lane) -. vb.%(bb + lane))
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (va.%(ab + lane) -. vb.%(bb + lane))
+    done
+
+let alu_mul (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (va.%(ab + lane) *. vb.%(bb + lane))
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (va.%(ab + lane) *. vb.%(bb + lane))
+    done
+
+let alu_fdiv (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (va.%(ab + lane) /. vb.%(bb + lane))
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (va.%(ab + lane) /. vb.%(bb + lane))
+    done
+
+let alu_lt (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) < vb.%(bb + lane) then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) < vb.%(bb + lane) then 1. else 0.)
+    done
+
+let alu_le (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) <= vb.%(bb + lane) then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) <= vb.%(bb + lane) then 1. else 0.)
+    done
+
+let alu_gt (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) > vb.%(bb + lane) then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) > vb.%(bb + lane) then 1. else 0.)
+    done
+
+let alu_ge (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) >= vb.%(bb + lane) then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) >= vb.%(bb + lane) then 1. else 0.)
+    done
+
+let alu_eq (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) = vb.%(bb + lane) then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) = vb.%(bb + lane) then 1. else 0.)
+    done
+
+let alu_ne (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) <> vb.%(bb + lane) then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) <> vb.%(bb + lane) then 1. else 0.)
+    done
+
+let alu_band (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) <> 0. && vb.%(bb + lane) <> 0. then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) <> 0. && vb.%(bb + lane) <> 0. then 1. else 0.)
+    done
+
+let alu_bor (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  if active = (1 lsl ws) - 1 then
+    for lane = 0 to ws - 1 do
+      regs.%(d + lane) <- (if va.%(ab + lane) <> 0. || vb.%(bb + lane) <> 0. then 1. else 0.)
+    done
+  else
+    for lane = 0 to ws - 1 do
+      if active land (1 lsl lane) <> 0 then regs.%(d + lane) <- (if va.%(ab + lane) <> 0. || vb.%(bb + lane) <> 0. then 1. else 0.)
+    done
+
+let alu_idiv (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  for lane = 0 to ws - 1 do
+    if active land (1 lsl lane) <> 0 then begin
+      let divisor = int_of_float vb.%(bb + lane) in
+      if divisor = 0 then sim_error "integer division by zero"
+      else regs.%(d + lane) <- float_of_int (int_of_float va.%(ab + lane) / divisor)
+    end
+  done
+
+let alu_imod (regs : float array) d (va : float array) ab (vb : float array) bb ws
+    active =
+  for lane = 0 to ws - 1 do
+    if active land (1 lsl lane) <> 0 then begin
+      let divisor = int_of_float vb.%(bb + lane) in
+      if divisor = 0 then sim_error "integer modulo by zero"
+      else regs.%(d + lane) <- float_of_int (int_of_float va.%(ab + lane) mod divisor)
+    end
+  done
+
 let exec_alu sm warp op ~d ~a ~b =
   let ws = ws_of sm in
   let code = sm.job.code in
   let regs = warp.regs and active = warp.active in
   let va = operand_lanes warp code a sm.x_opa and ab = operand_base warp code a in
   let vb = operand_lanes warp code b sm.x_opb and bb = operand_base warp code b in
-  let full = active = (1 lsl ws) - 1 in
   match op with
-  | Decode.Fadd | Decode.Iadd ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- va.%(ab + lane) +. vb.%(bb + lane)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- va.%(ab + lane) +. vb.%(bb + lane)
-      done
-  | Decode.Fsub | Decode.Isub ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- va.%(ab + lane) -. vb.%(bb + lane)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- va.%(ab + lane) -. vb.%(bb + lane)
-      done
-  | Decode.Fmul | Decode.Imul ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- va.%(ab + lane) *. vb.%(bb + lane)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- va.%(ab + lane) *. vb.%(bb + lane)
-      done
-  | Decode.Fdiv ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- va.%(ab + lane) /. vb.%(bb + lane)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- va.%(ab + lane) /. vb.%(bb + lane)
-      done
-  | Decode.Idiv ->
-    for lane = 0 to ws - 1 do
-      if active land (1 lsl lane) <> 0 then begin
-        let divisor = int_of_float vb.%(bb + lane) in
-        if divisor = 0 then sim_error "integer division by zero"
-        else
-          regs.%(d + lane) <- float_of_int (int_of_float va.%(ab + lane) / divisor)
-      end
-    done
-  | Decode.Imod ->
-    for lane = 0 to ws - 1 do
-      if active land (1 lsl lane) <> 0 then begin
-        let divisor = int_of_float vb.%(bb + lane) in
-        if divisor = 0 then sim_error "integer modulo by zero"
-        else
-          regs.%(d + lane) <- float_of_int (int_of_float va.%(ab + lane) mod divisor)
-      end
-    done
-  | Decode.Cmp_lt ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- (if va.%(ab + lane) < vb.%(bb + lane) then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- (if va.%(ab + lane) < vb.%(bb + lane) then 1. else 0.)
-      done
-  | Decode.Cmp_le ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- (if va.%(ab + lane) <= vb.%(bb + lane) then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- (if va.%(ab + lane) <= vb.%(bb + lane) then 1. else 0.)
-      done
-  | Decode.Cmp_gt ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- (if va.%(ab + lane) > vb.%(bb + lane) then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- (if va.%(ab + lane) > vb.%(bb + lane) then 1. else 0.)
-      done
-  | Decode.Cmp_ge ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- (if va.%(ab + lane) >= vb.%(bb + lane) then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- (if va.%(ab + lane) >= vb.%(bb + lane) then 1. else 0.)
-      done
-  | Decode.Cmp_eq ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- (if va.%(ab + lane) = vb.%(bb + lane) then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- (if va.%(ab + lane) = vb.%(bb + lane) then 1. else 0.)
-      done
-  | Decode.Cmp_ne ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <- (if va.%(ab + lane) <> vb.%(bb + lane) then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <- (if va.%(ab + lane) <> vb.%(bb + lane) then 1. else 0.)
-      done
-  | Decode.Band ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <-
-          (if va.%(ab + lane) <> 0. && vb.%(bb + lane) <> 0. then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <-
-            (if va.%(ab + lane) <> 0. && vb.%(bb + lane) <> 0. then 1. else 0.)
-      done
-  | Decode.Bor ->
-    if full then
-      for lane = 0 to ws - 1 do
-        regs.%(d + lane) <-
-          (if va.%(ab + lane) <> 0. || vb.%(bb + lane) <> 0. then 1. else 0.)
-      done
-    else
-      for lane = 0 to ws - 1 do
-        if active land (1 lsl lane) <> 0 then
-          regs.%(d + lane) <-
-            (if va.%(ab + lane) <> 0. || vb.%(bb + lane) <> 0. then 1. else 0.)
-      done
+  | Decode.Fadd | Decode.Iadd -> alu_add regs d va ab vb bb ws active
+  | Decode.Fsub | Decode.Isub -> alu_sub regs d va ab vb bb ws active
+  | Decode.Fmul | Decode.Imul -> alu_mul regs d va ab vb bb ws active
+  | Decode.Fdiv -> alu_fdiv regs d va ab vb bb ws active
+  | Decode.Cmp_lt -> alu_lt regs d va ab vb bb ws active
+  | Decode.Cmp_le -> alu_le regs d va ab vb bb ws active
+  | Decode.Cmp_gt -> alu_gt regs d va ab vb bb ws active
+  | Decode.Cmp_ge -> alu_ge regs d va ab vb bb ws active
+  | Decode.Cmp_eq -> alu_eq regs d va ab vb bb ws active
+  | Decode.Cmp_ne -> alu_ne regs d va ab vb bb ws active
+  | Decode.Band -> alu_band regs d va ab vb bb ws active
+  | Decode.Bor -> alu_bor regs d va ab vb bb ws active
+  | Decode.Idiv -> alu_idiv regs d va ab vb bb ws active
+  | Decode.Imod -> alu_imod regs d va ab vb bb ws active
   | _ -> invalid_arg "Sm.exec_alu: not a two-operand ALU op"
 
 let exec_instr sm warp =
@@ -1150,6 +1177,15 @@ let fill_pool sm fill =
 let pool_for_pick sm fill =
   if sm.x_pool_fresh then sm.x_pool_fresh <- false else fill_pool sm fill
 
+(* [min a b] for ready cycles (non-negative, at most [max_int]) without a
+   branch: the difference cannot overflow, and its sign bit (bit 62 of
+   OCaml 5's 63-bit ints) selects it.
+   A scan's minimum moves at data-dependent warps, and a branch there
+   mispredicts often enough to cost 4% of a grid-static round. *)
+let[@inline] min_int_nb (a : int) b =
+  let d = a - b in
+  b + (d land (d asr 62))
+
 (* Both scan orders below exploit the same invariant: [sm.warps] (and
    therefore every pool filled from it) is strictly age-ordered — ages are
    assigned monotonically at launch and TB retirement compacts stably.
@@ -1165,11 +1201,14 @@ let rec pool_scan sm (arr : warp array) n i =
    it passes into [m] and leaves what it learned behind:
 
    - the warps before the one it picks are all unready, with ready
-     cycles of at least [m]: while [m] is in the future none of them can
-     issue, and none can change (a warp changes its own ready cycle only
-     by issuing; the exceptions, a barrier release and a TB retirement,
-     call [forget_skip]), so later picks and [next_event] start after
-     them ([x_skip], [x_skip_min]);
+     cycles of at least [m], one of them exactly [m]: while [m] is in
+     the future none of them can issue, and none can change (a warp
+     changes its own ready cycle only by issuing; the exceptions, a
+     barrier release and a TB retirement, call [forget_skip]), so later
+     picks and [next_event] start after them ([x_skip], [x_skip_min]);
+     once [m] has come, the next pick scans from the oldest warp again
+     and rewrites the record, and until then [next_event] knows a warp
+     is ready;
    - when it picks nothing it has read every warp, and [m] is the SM's
      next event once the step ends ([x_next]). *)
 let rec gto_scan sm (arr : warp array) n now i m =
@@ -1187,7 +1226,7 @@ let rec gto_scan sm (arr : warp array) n now i m =
       sm.x_skip_min <- m;
       w
     end
-    else gto_scan sm arr n now (i + 1) (if r < m then r else m)
+    else gto_scan sm arr n now (i + 1) (min_int_nb r m)
 
 (* Without a pool filter the pool is every resident warp, so the
    pick/next-event scans walk [sm.warps] directly and nothing is copied or
@@ -1237,7 +1276,7 @@ let rec min_ready (arr : warp array) n now i acc =
   if i = n || acc <= now then acc
   else
     let r = (Array.unsafe_get arr i).ready_at in
-    min_ready arr n now (i + 1) (if r < acc then r else acc)
+    min_ready arr n now (i + 1) (min_int_nb r acc)
 
 (** Earliest cycle at which some warp could issue, clamped up to
     [sm.now] (a warp whose latency expired while the SM was busy issues
@@ -1261,7 +1300,10 @@ let next_event sm =
       end
       else if sm.x_skip_min > sm.now then
         min_ready sm.warps sm.n_warps sm.now sm.x_skip sm.x_skip_min
-      else min_ready sm.warps sm.n_warps sm.now 0 max_int
+      else
+        (* the skipped warp with the earliest ready cycle is still
+           there, unchanged, and ready by now *)
+        sm.x_skip_min
     | Some fill ->
       fill_pool sm fill;
       sm.x_pool_fresh <- true;
