@@ -21,7 +21,10 @@ type t = {
   seed : int;
   wall_seconds : float;  (** simulation wall time, not cache-load time *)
   obs_enabled : bool;  (** was span tracing on during the run *)
-  metrics : (string * Obs.Metrics.value) list;  (** sorted by name *)
+  metrics : (string * Obs.Metrics.value) list option;
+      (** sorted by name; [None] until written: {!to_json} snapshots the
+          registry then, so a run that is never stored (an uncached
+          cell) pays nothing for it *)
   launch_key : string option;
       (** the {!Cache.launch_key} of the launch sequence behind the
           counters; the shard's launch index names entries by it *)
@@ -35,7 +38,7 @@ let make ?launch_key cfg ~workload ~scheme ~seed ~wall_seconds =
     seed;
     wall_seconds;
     obs_enabled = !Obs.Span.enabled;
-    metrics = Obs.Metrics.snapshot ();
+    metrics = None;
     launch_key;
   }
 
@@ -63,7 +66,10 @@ let to_json m =
       ("wall_seconds", Json.Float m.wall_seconds);
       ("obs_enabled", Json.Bool m.obs_enabled);
       ( "metrics",
-        Json.Obj (List.map (fun (k, v) -> (k, metric_to_json v)) m.metrics) );
+        let metrics =
+          match m.metrics with Some ms -> ms | None -> Obs.Metrics.snapshot ()
+        in
+        Json.Obj (List.map (fun (k, v) -> (k, metric_to_json v)) metrics) );
     ]
     @
     match m.launch_key with
@@ -88,24 +94,25 @@ let of_json json =
         metrics =
           (match Json.member "metrics" j with
           | Json.Obj fields ->
-            List.map
-              (fun (k, v) ->
-                ( k,
-                  match v with
-                  | Json.Int n -> Obs.Metrics.Count n
-                  | Json.Float g -> Obs.Metrics.Gauge g
-                  | Json.Obj _ as h ->
-                    Obs.Metrics.Hist
-                      {
-                        Obs.Histogram.s_count =
-                          Json.to_int (Json.member "count" h);
-                        s_p50 = Json.to_int (Json.member "p50" h);
-                        s_p90 = Json.to_int (Json.member "p90" h);
-                        s_p99 = Json.to_int (Json.member "p99" h);
-                        s_max = Json.to_int (Json.member "max" h);
-                      }
-                  | _ -> raise (Json.Type_error "metric must be a number") ))
-              fields
+            Some
+              (List.map
+                 (fun (k, v) ->
+                   ( k,
+                     match v with
+                     | Json.Int n -> Obs.Metrics.Count n
+                     | Json.Float g -> Obs.Metrics.Gauge g
+                     | Json.Obj _ as h ->
+                       Obs.Metrics.Hist
+                         {
+                           Obs.Histogram.s_count =
+                             Json.to_int (Json.member "count" h);
+                           s_p50 = Json.to_int (Json.member "p50" h);
+                           s_p90 = Json.to_int (Json.member "p90" h);
+                           s_p99 = Json.to_int (Json.member "p99" h);
+                           s_max = Json.to_int (Json.member "max" h);
+                         }
+                     | _ -> raise (Json.Type_error "metric must be a number") ))
+                 fields)
           | _ -> raise (Json.Type_error "metrics must be an object"));
         launch_key = Option.map Json.to_str (Json.member_opt "launch_key" j);
       })

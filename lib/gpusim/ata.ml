@@ -8,8 +8,8 @@
    behaves exactly like the plain cache.
 
    The shadow sits beside the L1D rather than inside it: it reads the
-   cache's set mapping and victim choice and keeps its own recency
-   counter. *)
+   set and victim of the L1D probe's miss result and keeps its own
+   recency counter. *)
 
 type t = {
   l1 : Cache.t;
@@ -40,30 +40,28 @@ let rec oldest t base i best =
     if t.tags.(slot) = -1 then slot
     else oldest t base (i + 1) (if t.stamp.(slot) < t.stamp.(best) then slot else best)
 
-let base t line = Cache.set_index t.l1 line * t.ways
-
-(* shadow a line's tag unless it is already there *)
-let note t line =
-  let b = base t line in
-  if find t.tags line b t.ways 0 < 0 then begin
-    let slot = oldest t b 0 b in
+(* shadow a line's tag in the set at [base] unless it is already there *)
+let note t base line =
+  if find t.tags line base t.ways 0 < 0 then begin
+    let slot = oldest t base 0 base in
     t.tick <- t.tick + 1;
     t.tags.(slot) <- line;
     t.stamp.(slot) <- t.tick
   end
 
-let admit t ~line =
-  let slot = find t.tags line (base t line) t.ways 0 in
+let admit t ~line ~miss =
+  let base = Cache.miss_set t.l1 miss * t.ways in
+  let victim = Cache.victim t.l1 miss in
+  let slot = find t.tags line base t.ways 0 in
   if slot >= 0 then begin
     (* proven reuse: the shadow entry converts into a data fill, and the
-       data line that fill displaces drops into the shadow *)
+       data line that fill displaces (same set) drops into the shadow *)
     t.tags.(slot) <- -1;
-    let victim = Cache.evict_victim t.l1 ~line in
-    if victim <> -1 then note t victim;
+    if victim <> -1 then note t base victim;
     Promote
   end
-  else if Cache.evict_victim t.l1 ~line = -1 then Fill
+  else if victim = -1 then Fill
   else begin
-    note t line;
+    note t base line;
     Defer
   end

@@ -18,7 +18,9 @@ type decision =
 val create : ways:int -> Cache.t -> t
 (** [ways] (at least 1) shadow ways for each set of the given L1D. *)
 
-val admit : t -> line:int -> decision
-(** Decide (and record) whether a missing [line] may displace data.  Call
-    before the fill: [Promote] consumes the shadow entry and shadows the
-    victim the fill is about to evict; [Defer] shadows [line]. *)
+val admit : t -> line:int -> miss:int -> decision
+(** Decide (and record) whether a missing [line] may displace data;
+    [miss] is the L1D's {!Cache.probe} result for it, which names the set
+    and the victim.  Call before the fill: [Promote] consumes the shadow
+    entry and shadows the victim the fill is about to evict; [Defer]
+    shadows [line]. *)

@@ -1,67 +1,57 @@
 (* Warps are at most 32 lanes; dedup works directly on the caller's
-   buffer, so the hot path allocates nothing.
+   buffer, so the hot path allocates nothing.  Its loops are leaves with
+   every input an argument, so their state stays in registers, and the
+   one length check up front lets them index without bounds checks.
 
-   The common case — an affine index expression — produces addresses that
-   are monotone in the lane id, so their line indices arrive in
-   non-decreasing order.  As long as that holds, a new line only needs
-   comparing against the last one emitted (O(1) per lane); the first
-   out-of-order line drops the fast path and later lanes fall back to a
-   linear scan of the lines emitted so far (O(count), count <= 32).
-   Either way the buffer keeps first-touch order, which callers rely on:
-   transactions issue in this order and timing depends on it. *)
+   The common case — an affine index expression — produces line indices
+   that are non-decreasing in the lane id.  As long as that holds
+   ([ascending]), a new line only needs comparing against the last one
+   emitted (O(1) per lane); the first out-of-order line drops to
+   [scattered] for the remaining lanes, which scans the lines emitted so
+   far (O(count), count <= 32).  Either way the buffer keeps first-touch
+   order, which callers rely on: transactions issue in this order and
+   timing depends on it. *)
 
-let into ~line_bytes ~addrs ~mask ~buf =
-  let n = Array.length addrs in
-  (* line sizes are powers of two in every real configuration: divide by
-     shifting (addresses are non-negative, so lsr agrees with /) instead
-     of paying an integer division per lane per memory instruction *)
-  let shift =
-    if line_bytes land (line_bytes - 1) = 0 then
-      let rec log2 v acc = if v <= 1 then acc else log2 (v lsr 1) (acc + 1) in
-      log2 line_bytes 0
-    else -1
-  in
-  let count = ref 0 in
-  let mono = ref true in
-  (* invariant: [mono] implies buf.(0 .. count-1) is strictly increasing *)
-  for lane = 0 to n - 1 do
-    if mask land (1 lsl lane) <> 0 then begin
-      let addr = addrs.(lane) in
-      let line =
-        if shift >= 0 && addr >= 0 then addr lsr shift else addr / line_bytes
-      in
-      if !count = 0 then begin
-        buf.(0) <- line;
-        count := 1
-      end
-      else begin
-        let last = buf.(!count - 1) in
-        if line <> last then
-          if !mono && line > last then begin
-            buf.(!count) <- line;
-            incr count
-          end
-          else begin
-            let dup = ref false in
-            for i = 0 to !count - 1 do
-              if buf.(i) = line then dup := true
-            done;
-            if not !dup then begin
-              buf.(!count) <- line;
-              incr count;
-              mono := false
-            end
-          end
-      end
+let[@inline] active mask lane = mask land (1 lsl lane) <> 0
+
+let rec seen (buf : int array) line i count =
+  i < count && (Array.unsafe_get buf i = line || seen buf line (i + 1) count)
+
+let rec scattered (lanes : int array) mask (buf : int array) n lane count =
+  if lane = n then count
+  else if not (active mask lane) then scattered lanes mask buf n (lane + 1) count
+  else
+    let line = Array.unsafe_get lanes lane in
+    if seen buf line 0 count then scattered lanes mask buf n (lane + 1) count
+    else begin
+      Array.unsafe_set buf count line;
+      scattered lanes mask buf n (lane + 1) (count + 1)
     end
-  done;
-  !count
 
-let lines ~line_bytes ~addrs ~mask =
-  let buf = Array.make (max 1 (Array.length addrs)) 0 in
-  let count = into ~line_bytes ~addrs ~mask ~buf in
-  Array.to_list (Array.sub buf 0 count)
+(* buf.(0 .. count-1) is strictly increasing and ends with [last] *)
+let rec ascending (lanes : int array) mask (buf : int array) n lane count last =
+  if lane = n then count
+  else if not (active mask lane) then ascending lanes mask buf n (lane + 1) count last
+  else
+    let line = Array.unsafe_get lanes lane in
+    if line = last then ascending lanes mask buf n (lane + 1) count last
+    else if line > last then begin
+      Array.unsafe_set buf count line;
+      ascending lanes mask buf n (lane + 1) (count + 1) line
+    end
+    else scattered lanes mask buf n lane count
 
-let count ~line_bytes ~addrs ~mask =
-  let buf = Array.make (max 1 (Array.length addrs)) 0 in
-  into ~line_bytes ~addrs ~mask ~buf
+let rec first (lanes : int array) mask (buf : int array) n lane =
+  if lane = n then 0
+  else if not (active mask lane) then first lanes mask buf n (lane + 1)
+  else begin
+    let line = Array.unsafe_get lanes lane in
+    Array.unsafe_set buf 0 line;
+    ascending lanes mask buf n (lane + 1) 1 line
+  end
+
+let dedup ~lanes ~mask ~buf =
+  let n = Array.length lanes in
+  if Array.length buf < n then
+    invalid_arg "Coalescer.dedup: buffer shorter than the warp";
+  first lanes mask buf n 0

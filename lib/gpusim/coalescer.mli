@@ -1,22 +1,17 @@
 (** Memory-request coalescing.
 
-    A warp's memory instruction produces one byte address per active lane;
-    the coalescer reduces them to the set of distinct cache lines, which is
-    the unit of L1D traffic.  The per-warp request count it produces is
-    exactly the quantity the paper's Eq. 7 estimates statically — perfectly
-    coalesced accesses give 1 line, fully divergent ones give up to
-    [warp_size] lines. *)
+    A warp's memory instruction touches one cache line per active lane;
+    the SM's lane loops write those line indices (byte address shifted by
+    the launch's log2 line size) and the coalescer reduces them to the
+    distinct lines, the unit of L1D traffic.  The per-warp request count
+    it produces is exactly the quantity the paper's Eq. 7 estimates
+    statically — perfectly coalesced accesses give 1 line, fully
+    divergent ones give up to [warp_size] lines. *)
 
-val into : line_bytes:int -> addrs:int array -> mask:int -> buf:int array -> int
-(** [into ~line_bytes ~addrs ~mask ~buf] writes the distinct line indices
-    touched by lanes whose bit is set in [mask] into [buf] (which must hold
-    at least [Array.length addrs] entries) in first-touch order and returns
-    how many were written.  Allocation-free; affine (lane-monotone) address
-    patterns dedup in O(lanes).  [addrs.(lane)] is a byte address and is
-    ignored for inactive lanes. *)
-
-val lines : line_bytes:int -> addrs:int array -> mask:int -> int list
-(** [into] against a fresh buffer, as a list (tests, static analysis). *)
-
-val count : line_bytes:int -> addrs:int array -> mask:int -> int
-(** Number of distinct lines, without keeping them. *)
+val dedup : lanes:int array -> mask:int -> buf:int array -> int
+(** [dedup ~lanes ~mask ~buf] writes the distinct line indices of the
+    lanes whose bit is set in [mask] into [buf] (which must hold at least
+    [Array.length lanes] entries) in first-touch order and returns how
+    many were written.  Allocation-free; lane-monotone patterns (affine
+    indices) dedup in O(lanes).  [lanes.(lane)] is ignored for inactive
+    lanes. *)

@@ -502,5 +502,3 @@ let compile_kernel (k : Ast.kernel) =
     global_load_ids;
     src_locs = Array.of_list (List.rev env.locs);
   }
-
-let compile_program (p : Ast.program) = List.map compile_kernel p.Ast.kernels

@@ -12,5 +12,3 @@ exception Unsupported of string
 val compile_kernel : Minicuda.Ast.kernel -> Bytecode.program
 (** Typechecks and lowers one kernel.  Raises {!Minicuda.Typecheck.Type_error}
     on ill-typed input and {!Unsupported} on constructs outside the ISA. *)
-
-val compile_program : Minicuda.Ast.program -> Bytecode.program list

@@ -45,10 +45,6 @@ let arrays dev =
     (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun name data acc -> (name, data) :: acc) dev.memory [])
 
-let free_all dev = Hashtbl.reset dev.memory
-
-let flush_caches dev = Cache.flush dev.l2
-
 type arg = Arr of string | Scalar of float
 
 type launch = {
@@ -338,6 +334,12 @@ let kernel dev l ~arrays ~scalars ~dram_free ~max_tbs ~l1_bytes ~l1 =
     | Error (pc, reason) ->
       launch_error "kernel %s: pc %d: %s" l.prog.Bytecode.name pc reason
   in
+  (* the lane loops shift a byte address to its line: [Config.validate]
+     refuses other line sizes, but [Config.t] is a plain record *)
+  let line_bytes = dev.cfg.Config.line_bytes in
+  if line_bytes <= 0 || line_bytes land (line_bytes - 1) <> 0 then
+    launch_error "line size %d is not a power of two" line_bytes;
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
   let job =
     {
       Sm.cfg = dev.cfg;
@@ -359,6 +361,7 @@ let kernel dev l ~arrays ~scalars ~dram_free ~max_tbs ~l1_bytes ~l1 =
         (if l.trace then Trace.create ~cap:dev.cfg.Config.trace_cap ~sm:0 ()
          else Trace.disabled);
       l2 = dev.l2;
+      line_shift = log2 line_bytes;
       dram_free;
       bypass = bypass_flags l;
       prof = l.profile;

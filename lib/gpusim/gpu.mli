@@ -37,12 +37,6 @@ val arrays : device -> (string * float array) list
 (** Every live device array (no copies), sorted by name — the whole final
     memory image, e.g. for bit-identity digests. *)
 
-val free_all : device -> unit
-
-val flush_caches : device -> unit
-(** Invalidate L2 (per-launch L1s are always cold).  Used between repeats
-    so that timing runs are independent. *)
-
 type arg = Arr of string | Scalar of float
 
 type launch = {

@@ -82,6 +82,7 @@ type job = {
   stats : Stats.t;
   trace : Trace.t;
   l2 : Cache.t;
+  line_shift : int;  (** log2 of the line size: a byte address's line *)
   dram_free : int ref;  (** shared DRAM-port availability (bandwidth model) *)
   bypass : bool array;  (** per array id: loads skip the L1D (ablation) *)
   prof : Profile.Collector.t option;
@@ -154,7 +155,7 @@ type t = {
   mutable pool : warp array;  (* scratch: the schedulable pool *)
   mutable n_pool : int;
   mutable pool_gen : int;
-  x_addrs : int array;  (* scratch: per-lane byte addresses *)
+  x_lanes : int array;  (* scratch: per-lane line indices *)
   x_lines : int array;  (* scratch: coalesced line indices *)
   x_opa : float array;  (* scratch: a staged block-index operand *)
   x_opb : float array;
@@ -184,10 +185,12 @@ and policy = {
   retire_warp : warp -> unit;  (** the warp's thread block completed *)
   load : warp -> int -> bool;
       (** a global load transaction on a line; [true] bypasses the L1D *)
-  admit : int -> bool;
-      (** an L1D miss on a line; [false] serves it from L2 and fills nothing *)
+  admit : int -> int -> bool;
+      (** an L1D miss on a line, with its probe result ({!Cache.victim});
+          [false] serves it from L2 and fills nothing *)
   miss : warp -> int -> unit;  (** an L1D load miss on a line *)
-  fill : warp -> int -> unit;  (** the warp's miss is about to fill the line *)
+  fill : warp -> int -> unit;
+      (** the warp's miss is about to fill: its probe result *)
   mem_instr : warp -> int -> unit;
       (** a global memory instruction coalesced to this many lines *)
   loop_enter : warp -> bool;  (** at [Loop_begin]; [false] holds the warp there *)
@@ -235,7 +238,7 @@ let no_policy =
     launch_warp = (fun () -> -1);
     retire_warp = (fun _ -> ());
     load = (fun _ _ -> false);
-    admit = (fun _ -> true);
+    admit = (fun _ _ -> true);
     miss = (fun _ _ -> ());
     fill = (fun _ _ -> ());
     mem_instr = (fun _ _ -> ());
@@ -270,7 +273,7 @@ let create job id ~l1 ~policy =
     pool = Array.make 16 dw;
     n_pool = 0;
     pool_gen = 1;
-    x_addrs = Array.make ws 0;
+    x_lanes = Array.make ws 0;
     x_lines = Array.make ws 0;
     x_opa = Array.make ws 0.;
     x_opb = Array.make ws 0.;
@@ -458,15 +461,14 @@ let[@inline] check_bounds sm arr_id idx len =
 
 (* One L2 lookup (with DRAM behind it), returning the consume cycle.
    Shared by L1 misses, bypassed loads and write-through stores; the
-   mutation sequence — MSHR drain, DRAM-port bump, fill — is exactly the
-   closure-driven order the old [Cache.access ~miss_ready] produced. *)
+   mutation sequence is probe, MSHR drain, DRAM-port bump, fill. *)
 let l2_arrival sm ~now:l2_now ~line =
   let cfg = sm.job.cfg in
   let stats = sm.job.stats in
   stats.Stats.l2_accesses <- stats.Stats.l2_accesses + 1;
   let arrival =
     let r = Cache.probe sm.job.l2 ~now:l2_now ~line in
-    if r <> Cache.probe_miss then begin
+    if r >= 0 then begin
       stats.Stats.l2_hits <- stats.Stats.l2_hits + 1;
       Cache.probe_arrival r
     end
@@ -477,7 +479,7 @@ let l2_arrival sm ~now:l2_now ~line =
       let slot = imax issue !(sm.job.dram_free) in
       sm.job.dram_free := slot + cfg.Config.dram_slot_cycles;
       let ready = slot + cfg.Config.l2_hit_latency + cfg.Config.dram_latency in
-      Cache.fill sm.job.l2 ~line ~ready;
+      Cache.fill sm.job.l2 ~miss:r ~line ~ready;
       ready
     end
   in
@@ -508,7 +510,7 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
   else begin
     stats.Stats.l1_accesses <- stats.Stats.l1_accesses + 1;
     let r = Cache.probe sm.l1 ~now:issue ~line in
-    if r <> Cache.probe_miss then begin
+    if r >= 0 then begin
       let pending = Cache.probe_pending r in
       if pending then
         stats.Stats.l1_pending_hits <- stats.Stats.l1_pending_hits + 1
@@ -527,16 +529,16 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
       sm.policy.miss warp line;
       let miss_at = Cache.miss_issue sm.l1 ~now:issue in
       let ready = l2_arrival sm ~now:miss_at ~line in
-      if sm.policy.admit line then begin
-        sm.policy.fill warp line;
+      if sm.policy.admit line r then begin
+        sm.policy.fill warp r;
         (match sm.job.prof with
         | Some p ->
-          let victim = Cache.evict_victim sm.l1 ~line in
+          let victim = Cache.victim sm.l1 r in
           if victim <> -1 then
             Profile.Collector.record_evict p ~arr_id ~pc:warp.pc
-              ~set:(Cache.set_index sm.l1 line) ~victim_line:victim
+              ~set:(Cache.miss_set sm.l1 r) ~victim_line:victim
         | None -> ());
-        Cache.fill sm.l1 ~line ~ready
+        Cache.fill sm.l1 ~miss:r ~line ~ready
       end
       else
         (* not admitted: served from L2, nothing displaced; the miss
@@ -545,7 +547,7 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
       (match sm.job.prof with
       | Some p ->
         Profile.Collector.record_l1 p ~arr_id ~pc:warp.pc
-          ~set:(Cache.set_index sm.l1 line) ~outcome:Profile.Heatmap.Miss
+          ~set:(Cache.miss_set sm.l1 r) ~outcome:Profile.Heatmap.Miss
       | None -> ());
       imax ready (issue + cfg.Config.l1d_hit_latency)
     end
@@ -557,52 +559,53 @@ let issue_store_transaction sm line =
   sm.lsu_free <- issue + 1;
   stats.Stats.store_transactions <- stats.Stats.store_transactions + 1;
   (* write-through: update L1 if present (no allocate), allocate in L2 *)
-  ignore (Cache.write_update sm.l1 ~now:issue ~line);
+  ignore (Cache.write_update sm.l1 ~line);
   ignore (l2_arrival sm ~now:issue ~line)
 
-(* Coalesce the active lanes' [x_addrs] into [x_lines] and sample the
+(* Coalesce the active lanes' [x_lanes] into [x_lines] and sample the
    instruction for the Fig. 2 trace and the policy; the line count. *)
 let coalesce sm warp =
-  let nlines =
-    Coalescer.into ~line_bytes:sm.job.cfg.Config.line_bytes ~addrs:sm.x_addrs
-      ~mask:warp.active ~buf:sm.x_lines
-  in
+  let nlines = Coalescer.dedup ~lanes:sm.x_lanes ~mask:warp.active ~buf:sm.x_lines in
   Trace.record sm.job.trace ~sm:sm.id ~pc:warp.pc ~requests:nlines ~cycle:sm.now;
   sm.policy.mem_instr warp nlines;
   nlines
 
 (* The lane loops of a global access.  Each is a leaf that calls
    nothing, so its loop state stays in registers (a call in the loop body
-   spills every live value on every lane).  Each runs the active lanes
-   in lane order, [full] saying all [ws] are active, and returns the
-   first lane whose index is out of bounds, or -1; the caller raises, so
-   the lanes before it have run, as when the check raised in the loop. *)
+   spills every live value on every lane), and takes at most ten
+   arguments, so its self call is a jump (an eleventh goes on the stack
+   and turns every lane into a real call).  Each runs the lanes of
+   [active] in lane order over the warp ([Array.length lines]; [gather]'s
+   [full] says all are active), writes each one's line index (its byte
+   address [lsr shift]) into [lines], and returns the first lane whose
+   index is out of bounds, or -1; the caller raises, so the lanes before
+   it have run, as when the check raised in the loop. *)
 let rec gather (regs : float array) dbase ibase (data : float array) base
-    (addrs : int array) ~full active lane ws =
-  if lane = ws then -1
+    shift (lines : int array) ~full active lane =
+  if lane = Array.length lines then -1
   else if (not full) && active land (1 lsl lane) = 0 then
-    gather regs dbase ibase data base addrs ~full active (lane + 1) ws
+    gather regs dbase ibase data base shift lines ~full active (lane + 1)
   else
     let idx = int_of_float regs.%(ibase + lane) in
     if idx < 0 || idx >= Array.length data then lane
     else begin
-      Array.unsafe_set addrs lane (base + (idx * elem_bytes));
+      Array.unsafe_set lines lane ((base + (idx * elem_bytes)) lsr shift);
       regs.%(dbase + lane) <- data.%(idx);
-      gather regs dbase ibase data base addrs ~full active (lane + 1) ws
+      gather regs dbase ibase data base shift lines ~full active (lane + 1)
     end
 
-let rec scatter (regs : float array) ibase (data : float array) base
-    (addrs : int array) (va : float array) sbase ~full active lane ws =
-  if lane = ws then -1
-  else if (not full) && active land (1 lsl lane) = 0 then
-    scatter regs ibase data base addrs va sbase ~full active (lane + 1) ws
+let rec scatter (regs : float array) ibase (data : float array) base shift
+    (lines : int array) (va : float array) sbase active lane =
+  if lane = Array.length lines then -1
+  else if active land (1 lsl lane) = 0 then
+    scatter regs ibase data base shift lines va sbase active (lane + 1)
   else
     let idx = int_of_float regs.%(ibase + lane) in
     if idx < 0 || idx >= Array.length data then lane
     else begin
-      Array.unsafe_set addrs lane (base + (idx * elem_bytes));
+      Array.unsafe_set lines lane ((base + (idx * elem_bytes)) lsr shift);
       data.%(idx) <- va.%(sbase + lane);
-      scatter regs ibase data base addrs va sbase ~full active (lane + 1) ws
+      scatter regs ibase data base shift lines va sbase active (lane + 1)
     end
 
 (* the out-of-bounds lane a lane loop stopped at, if any *)
@@ -610,12 +613,11 @@ let check_lane sm warp ~arr_id ~ibase ~len bad =
   if bad >= 0 then bounds_error sm arr_id (int_of_float warp.regs.(ibase + bad)) len
 
 let exec_global_load sm warp ~dbase ~arr_id ~ibase =
-  let ws = ws_of sm in
   let ga = global_of sm arr_id in
   let active = warp.active in
   check_lane sm warp ~arr_id ~ibase ~len:(Array.length ga.data)
-    (gather warp.regs dbase ibase ga.data ga.base sm.x_addrs
-       ~full:(active = (1 lsl ws) - 1) active 0 ws);
+    (gather warp.regs dbase ibase ga.data ga.base sm.job.line_shift sm.x_lanes
+       ~full:(active = (1 lsl ws_of sm) - 1) active 0);
   let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_load_instrs <-
     sm.job.stats.Stats.global_load_instrs + 1;
@@ -628,14 +630,12 @@ let exec_global_load sm warp ~dbase ~arr_id ~ibase =
   !ready
 
 let exec_global_store sm warp ~arr_id ~ibase ~src =
-  let ws = ws_of sm in
   let code = sm.job.code in
   let ga = global_of sm arr_id in
-  let active = warp.active in
   let va = operand_lanes warp code src sm.x_opa and sbase = operand_base warp code src in
   check_lane sm warp ~arr_id ~ibase ~len:(Array.length ga.data)
-    (scatter warp.regs ibase ga.data ga.base sm.x_addrs va sbase
-       ~full:(active = (1 lsl ws) - 1) active 0 ws);
+    (scatter warp.regs ibase ga.data ga.base sm.job.line_shift sm.x_lanes va sbase
+       warp.active 0);
   let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_store_instrs <-
     sm.job.stats.Stats.global_store_instrs + 1;
@@ -1545,16 +1545,16 @@ let ciao_pool ci sm =
 
 (** CIAO interference monitor over [l1]: flagged warps' loads bypass the
     L1D (or, under NoC/DRAM pressure, leave the scheduler pool).  A fill
-    credits the filler with the line it evicts; only this policy pays for
-    the victim lookup. *)
+    credits the filler with the line it evicts, read from the probe's miss
+    result. *)
 let ciao ci l1 =
   {
     no_policy with
     retire_warp = (fun w -> Interference.retire ci ~warp_id:w.age);
     load = (fun w line -> Interference.on_access ci ~warp_id:w.age ~line);
     fill =
-      (fun w line ->
-        let victim = Cache.evict_victim l1 ~line in
+      (fun w miss ->
+        let victim = Cache.victim l1 miss in
         if victim <> -1 then
           Interference.on_evict ci ~filler:w.age ~victim_line:victim);
     pool_filter = Some (ciao_pool ci);
@@ -1566,8 +1566,8 @@ let ata (stats : Stats.t) a =
   {
     no_policy with
     admit =
-      (fun line ->
-        match Ata.admit a ~line with
+      (fun line miss ->
+        match Ata.admit a ~line ~miss with
         | Ata.Fill -> true
         | Ata.Promote ->
           stats.Stats.ata_tag_hits <- stats.Stats.ata_tag_hits + 1;

@@ -175,10 +175,10 @@ let serve_stage name =
 
 (** Every gated stage, by name, as a function measuring it under that
     name: the five grid stages, whose simulator cells stand behind every
-    reproduced table and figure, then the serve loop.  The grid stages
-    run first: each simulated cell's manifest snapshots every registered
-    metric, and the serve stage's server registers more, so a grid stage
-    measured after it allocates up to 0.1% more per cell. *)
+    reproduced table and figure, then the serve loop.  A cell's manifest
+    snapshots the metrics registry only when the cell is stored, so the
+    uncached grid cells allocate the same whether or not the serve
+    stage's server has registered its metrics. *)
 let stages : (string * (string -> stage)) list =
   let grid = grid_stage Workloads.Registry.all in
   Experiments.Scheme.

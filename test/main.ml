@@ -5,4 +5,5 @@ let () =
    @ Test_extensions.tests @ Test_more.tests @ Test_properties.tests
    @ Test_golden.tests @ Test_parallel.tests @ Test_sanitize.tests
    @ Test_serve.tests @ Test_staticmodel.tests @ Test_alloc.tests
-   @ Test_reuse.tests @ Test_bench.tests @ Test_decode.tests)
+   @ Test_reuse.tests @ Test_bench.tests @ Test_decode.tests
+   @ Test_memory_path.tests)

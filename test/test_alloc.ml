@@ -28,10 +28,18 @@ let check_free name f =
   if w > limit then
     Alcotest.failf "%s allocates %.3f words per call (limit %.2f)" name w limit
 
+(* [line]'s miss through the SM's sequence, at [now], filling at [ready] *)
+let miss_fill c ~now ~line ~ready =
+  let r = Cache.probe c ~now ~line in
+  if r < 0 then begin
+    ignore (Cache.miss_issue c ~now);
+    Cache.fill c ~miss:r ~line ~ready
+  end
+
 let test_cache_probes () =
   let c = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
   for line = 0 to 15 do
-    Cache.fill c ~line ~ready:0
+    miss_fill c ~now:0 ~line ~ready:0
   done;
   (* lines 0..31 over a 32-line cache holding 0..15: hits and misses *)
   check_free "Cache.probe" (fun () ->
@@ -40,13 +48,57 @@ let test_cache_probes () =
       done);
   check_free "Cache.write_update" (fun () ->
       for i = 0 to calls - 1 do
-        ignore (Cache.write_update c ~now:i ~line:(i land 31))
+        ignore (Cache.write_update c ~line:(i land 31))
+      done);
+  (* every call a miss (a stream of new lines) that evicts, waits on a
+     full MSHR file every few calls and fills *)
+  let c = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
+  let next = ref 0 in
+  check_free "Cache.probe/miss_issue/fill, missing" (fun () ->
+      for i = 0 to calls - 1 do
+        let line = !next in
+        incr next;
+        let r = Cache.probe c ~now:i ~line in
+        let issue = Cache.miss_issue c ~now:i in
+        Cache.fill c ~miss:r ~line ~ready:(issue + 40 + (line land 63))
       done)
+
+(* The MSHR file is sized to its bound at [create] and refuses a push
+   past it (a fill or note_inflight without its miss_issue) instead of
+   growing. *)
+let test_mshr_bound () =
+  let c = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:2 () in
+  miss_fill c ~now:0 ~line:1 ~ready:100;
+  miss_fill c ~now:0 ~line:2 ~ready:200;
+  let r = Cache.probe c ~now:0 ~line:3 in
+  let refused f =
+    match f () with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "fill past the bound refused" true
+    (refused (fun () -> Cache.fill c ~miss:r ~line:3 ~ready:300));
+  Alcotest.(check bool) "note_inflight past the bound refused" true
+    (refused (fun () -> Cache.note_inflight c ~ready:300));
+  Alcotest.(check bool) "the refused fill installed nothing" true
+    (Cache.probe c ~now:0 ~line:3 < 0);
+  (* still two entries: a miss waits for the first fill, which leaves
+     room for exactly one more *)
+  Alcotest.(check int) "full file delays the issue" 100 (Cache.miss_issue c ~now:0);
+  Cache.note_inflight c ~ready:300;
+  for ready = 1 to 1000 do
+    if not (refused (fun () -> Cache.note_inflight c ~ready)) then
+      Alcotest.failf "a push past the bound (ready %d) was taken" ready
+  done;
+  (* the file holds exactly the fills at 200 and 300: none of the
+     refused ones, which would retire first *)
+  Alcotest.(check int) "refusals left the file unchanged" 200
+    (Cache.miss_issue c ~now:150)
 
 let full_cache () =
   let c = Cache.create ~bytes:1024 ~assoc:2 ~line_bytes:128 ~mshrs:8 () in
   for line = 0 to 63 do
-    Cache.fill c ~line ~ready:0
+    miss_fill c ~now:0 ~line ~ready:0
   done;
   c
 
@@ -56,11 +108,13 @@ let warps n = Array.init n (fun age -> { (Sm.make_dummy_warp ()) with Sm.age })
 let test_ata_admit () =
   (* every data way is valid: each absent line, asked twice in a row, is
      deferred (shadow insert) and then promoted (shadow hit) *)
-  let a = Ata.create ~ways:2 (full_cache ()) in
+  let l1 = full_cache () in
+  let a = Ata.create ~ways:2 l1 in
   let decisions = Array.make 3 0 in
   check_free "Ata.admit" (fun () ->
       for i = 0 to calls - 1 do
-        match Ata.admit a ~line:(100 + ((i lsr 1) land 7)) with
+        let line = 100 + ((i lsr 1) land 7) in
+        match Ata.admit a ~line ~miss:(Cache.probe l1 ~now:0 ~line) with
         | Ata.Fill -> decisions.(0) <- decisions.(0) + 1
         | Ata.Promote -> decisions.(1) <- decisions.(1) + 1
         | Ata.Defer -> decisions.(2) <- decisions.(2) + 1
@@ -69,11 +123,13 @@ let test_ata_admit () =
     (decisions.(1) > 0 && decisions.(2) > 0);
   (* the same stream through the SM's admission hook *)
   let stats = Gpusim.Stats.create () in
-  let p = Sm.ata stats (Ata.create ~ways:2 (full_cache ())) in
+  let l1 = full_cache () in
+  let p = Sm.ata stats (Ata.create ~ways:2 l1) in
   let admitted = ref 0 in
   check_free "Sm.ata admit hook" (fun () ->
       for i = 0 to calls - 1 do
-        if p.Sm.admit (100 + ((i lsr 1) land 7)) then incr admitted
+        let line = 100 + ((i lsr 1) land 7) in
+        if p.Sm.admit line (Cache.probe l1 ~now:0 ~line) then incr admitted
       done);
   Alcotest.(check bool) "promotions counted" true
     (stats.Gpusim.Stats.ata_promotions > 0
@@ -91,8 +147,8 @@ let test_interference_hooks () =
           ~victim_line:(i land 255)
       done);
   Alcotest.(check bool) "some warp flagged" true (Interference.flagged ci <> []);
-  (* the SM's CIAO hooks: the load hook and the fill hook, which looks up
-     the victim in the L1D itself *)
+  (* the SM's CIAO hooks: the load hook and the fill hook, which reads
+     the victim from the L1D probe's miss result *)
   let ci = Interference.create () in
   let l1 = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
   let p = Sm.ciao ci l1 in
@@ -101,8 +157,12 @@ let test_interference_hooks () =
       for i = 0 to calls - 1 do
         let w = ws.(i land 7) and line = i land 255 in
         if not (p.Sm.load w line) then begin
-          p.Sm.fill w line;
-          Cache.fill l1 ~line ~ready:0
+          let r = Cache.probe l1 ~now:i ~line in
+          if r < 0 then begin
+            ignore (Cache.miss_issue l1 ~now:i);
+            p.Sm.fill w r;
+            Cache.fill l1 ~miss:r ~line ~ready:i
+          end
         end
       done);
   Alcotest.(check bool) "hooks flag a warp" true (Interference.flagged ci <> [])
@@ -269,11 +329,31 @@ let test_words_per_warp () =
                     registers plus 96)"
       per_warp limit prog.Gpusim.Bytecode.num_regs
 
+(* An uncached grid cell's manifest is never written, so it takes no
+   snapshot of the metrics registry: a stage's words per cell do not
+   move when more metrics are registered (the serve stage's server
+   registers its own between the bench's grid stages and a re-run). *)
+let test_cell_ignores_registry () =
+  let stage () =
+    Serve.Bench.grid_stage
+      [ Workloads.Registry.find "ATAX" ]
+      Experiments.Scheme.Baseline "grid/baseline"
+  in
+  ignore (stage ());
+  let before = stage () in
+  for i = 1 to 64 do
+    ignore (Obs.Metrics.counter (Printf.sprintf "test.alloc.registry_%d" i))
+  done;
+  let after = stage () in
+  Alcotest.(check (float 0.)) "minor words per cell"
+    before.Serve.Bench.minor_words_per_cell after.Serve.Bench.minor_words_per_cell
+
 let tests =
   [
     ( "alloc.hooks",
       [
         Alcotest.test_case "cache probe and write" `Quick test_cache_probes;
+        Alcotest.test_case "MSHR file bounded" `Quick test_mshr_bound;
         Alcotest.test_case "ATA admission" `Quick test_ata_admit;
         Alcotest.test_case "CIAO monitor" `Quick test_interference_hooks;
         Alcotest.test_case "CCWS miss, tick and rank" `Quick test_ccws_hooks;
@@ -282,6 +362,8 @@ let tests =
         Alcotest.test_case "workload input draws" `Quick test_rng_draws;
         Alcotest.test_case "warm memo hit" `Quick test_memo_hit;
         Alcotest.test_case "words per warp launched" `Quick test_words_per_warp;
+        Alcotest.test_case "grid cell ignores the metrics registry" `Quick
+          test_cell_ignores_registry;
         Alcotest.test_case "CCWS launch per instruction" `Quick (fun () ->
             check_launch_words_per_instr ("CCWS", `Ccws));
         Alcotest.test_case "launch per instruction, other policies" `Quick

@@ -521,21 +521,23 @@ let test_variants_empty_rejected () =
 let test_cache_settle_keeps_contents () =
   let c = Gpusim.Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:4 () in
   let miss ~issue = issue + 1000 in
-  ignore (Gpusim.Cache.access c ~now:0 ~line:3 ~miss_ready:miss);
+  ignore (Cache_driver.access c ~now:0 ~line:3 ~miss_ready:miss);
   (* in flight until cycle 1000; a new kernel starts its clock at 0 *)
   Gpusim.Cache.settle c;
-  let ready, outcome = Gpusim.Cache.access c ~now:0 ~line:3 ~miss_ready:miss in
-  Alcotest.(check bool) "hit after settle" true (outcome = Gpusim.Cache.Hit);
+  let ready, outcome = Cache_driver.access c ~now:0 ~line:3 ~miss_ready:miss in
+  Alcotest.(check bool) "hit after settle" true (outcome = Cache_driver.Hit);
   Alcotest.(check int) "available immediately" 0 ready
 
 let test_cache_settle_frees_mshrs () =
   let c = Gpusim.Cache.create ~bytes:(64 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:2 () in
   let miss ~issue = issue + 1000000 in
-  ignore (Gpusim.Cache.access c ~now:0 ~line:1 ~miss_ready:miss);
-  ignore (Gpusim.Cache.access c ~now:0 ~line:2 ~miss_ready:miss);
+  ignore (Cache_driver.access c ~now:0 ~line:1 ~miss_ready:miss);
+  ignore (Cache_driver.access c ~now:0 ~line:2 ~miss_ready:miss);
   Gpusim.Cache.settle c;
   (* without settle this third miss would stall until cycle 1000000 *)
-  let ready, _ = Gpusim.Cache.access c ~now:0 ~line:3 ~miss_ready:(fun ~issue -> issue + 10) in
+  let ready, _ =
+    Cache_driver.access c ~now:0 ~line:3 ~miss_ready:(fun ~issue -> issue + 10)
+  in
   Alcotest.(check int) "no stale stall" 10 ready
 
 (* ------------------------- CIAO score table ------------------------ *)
@@ -589,30 +591,38 @@ let test_ciao_retired_entries_drop () =
 
 let test_ata_defer_then_promote () =
   (* 2 sets x 2 data ways, 2 shadow ways per set *)
-  let c = Gpusim.Cache.create ~bytes:512 ~assoc:2 ~line_bytes:128 ~mshrs:8 () in
+  let module Cache = Gpusim.Cache in
+  let c = Cache.create ~bytes:512 ~assoc:2 ~line_bytes:128 ~mshrs:8 () in
   let a = Gpusim.Ata.create ~ways:2 c in
-  let set = Gpusim.Cache.set_index c 0 in
+  let set = Cache.set_index c 0 in
   let same_set =
-    List.filter (fun l -> Gpusim.Cache.set_index c l = set) (List.init 64 Fun.id)
+    List.filter (fun l -> Cache.set_index c l = set) (List.init 64 Fun.id)
   in
   let l0, l1, l2 =
     match same_set with
     | l0 :: l1 :: l2 :: _ -> (l0, l1, l2)
     | _ -> Alcotest.fail "fewer than three lines in one set"
   in
-  let check what expected line =
-    Alcotest.(check bool) what true (Gpusim.Ata.admit a ~line = expected)
+  (* the SM's miss sequence: probe, ask ATA, fill only when admitted *)
+  let miss what expected ?victim line =
+    let r = Cache.probe c ~now:0 ~line in
+    Alcotest.(check bool) (what ^ ": misses") true (r < 0);
+    Option.iter
+      (fun v -> Alcotest.(check int) (what ^ ": victim") v (Cache.victim c r))
+      victim;
+    let d = Gpusim.Ata.admit a ~line ~miss:r in
+    Alcotest.(check bool) what true (d = expected);
+    ignore (Cache.miss_issue c ~now:0);
+    if d = Gpusim.Ata.Defer then Cache.note_inflight c ~ready:0
+    else Cache.fill c ~miss:r ~line ~ready:0
   in
-  check "cold fill" Gpusim.Ata.Fill l0;
-  Gpusim.Cache.fill c ~line:l0 ~ready:0;
-  check "cold fill into the last invalid way" Gpusim.Ata.Fill l1;
-  Gpusim.Cache.fill c ~line:l1 ~ready:0;
-  check "first conflict touch deferred" Gpusim.Ata.Defer l2;
-  Alcotest.(check bool) "nothing displaced" true (Gpusim.Cache.contains c ~line:l0);
-  check "proven reuse promoted" Gpusim.Ata.Promote l2;
-  Gpusim.Cache.fill c ~line:l2 ~ready:0;
+  miss "cold fill" Gpusim.Ata.Fill ~victim:(-1) l0;
+  miss "cold fill into the last invalid way" Gpusim.Ata.Fill ~victim:(-1) l1;
+  miss "first conflict touch deferred" Gpusim.Ata.Defer ~victim:l0 l2;
+  (* nothing was displaced: the LRU line is still the victim *)
+  miss "proven reuse promoted" Gpusim.Ata.Promote ~victim:l0 l2;
   (* the LRU line the promotion displaced now sits in the shadow *)
-  check "displaced line shadowed" Gpusim.Ata.Promote l0
+  miss "displaced line shadowed" Gpusim.Ata.Promote ~victim:l1 l0
 
 let tests =
   [

