@@ -28,6 +28,16 @@
     launch's lane table (thread indices by the warp's [lane_base]); only
     a block index is staged into scratch.
 
+    Memory path: a global access's lane loop ([gather]/[scatter])
+    writes each active lane's line index (its byte address [lsr]
+    [job.line_shift], fixed per launch by [Gpu]), {!Coalescer.dedup}
+    reduces them to distinct lines in first-touch order, and each line
+    is one transaction in that order.  [Cache.probe] finds the line's
+    set once; a miss result names the victim way and travels through
+    [miss_issue], the L2 lookup, the policy's [admit] and [fill] hooks
+    and the profiler to [Cache.fill], so nothing walks the set again.
+    Nothing touches the L1 between a transaction's probe and its fill.
+
     Scheduling: a warp's schedulability is one word, [ready_at]
     ([max_int] while finished or parked at a barrier); the SM counts its
     parked warps, and a thread block drains a barrier iff [arrived > 0].
@@ -41,15 +51,15 @@
     record, register file and mask stack.  Resident warps live in a
     flat array with stable compaction on TB retirement (oldest first,
     as the GTO tie-break needs); each warp's SIMT mask stack is a flat
-    int array; the scheduler pool, coalescer lines and staged block
-    indices go through preallocated per-SM scratch buffers; builtins run
-    lane-wise inside [Minicuda.Builtins], so no per-lane float ever
-    crosses a function boundary boxed.  Policy hooks follow the same two
-    rules: their closures are built with the record, never per call,
-    and no hook returns a float (dev builds compile with [-opaque]).
-    Every simulation-visible ordering — pool order, transaction issue
-    order, profiler event order — matches the original list-based code
-    bit for bit (proven by the golden-grid digests in
+    int array; the scheduler pool, lane and coalesced line indices and
+    staged block indices go through preallocated per-SM scratch buffers;
+    builtins run lane-wise inside [Minicuda.Builtins], so no per-lane
+    float ever crosses a function boundary boxed.  Policy hooks follow
+    the same two rules: their closures are built with the record, never
+    per call, and no hook returns a float (dev builds compile with
+    [-opaque]).  Every simulation-visible ordering — pool order,
+    transaction issue order, profiler event order — matches the original
+    list-based code bit for bit (proven by the golden-grid digests in
     [test/golden_profiles/golden_grid.json]). *)
 
 exception Sim_error of string
@@ -573,8 +583,8 @@ let coalesce sm warp =
 (* The lane loops of a global access.  Each is a leaf that calls
    nothing, so its loop state stays in registers (a call in the loop body
    spills every live value on every lane), and takes at most ten
-   arguments, so its self call is a jump (an eleventh goes on the stack
-   and turns every lane into a real call).  Each runs the lanes of
+   arguments, all passed in registers (OCaml passes an eleventh through
+   memory on every self call).  Each runs the lanes of
    [active] in lane order over the warp ([Array.length lines]; [gather]'s
    [full] says all are active), writes each one's line index (its byte
    address [lsr shift]) into [lines], and returns the first lane whose
@@ -613,11 +623,12 @@ let check_lane sm warp ~arr_id ~ibase ~len bad =
   if bad >= 0 then bounds_error sm arr_id (int_of_float warp.regs.(ibase + bad)) len
 
 let exec_global_load sm warp ~dbase ~arr_id ~ibase =
+  let ws = ws_of sm in
   let ga = global_of sm arr_id in
   let active = warp.active in
   check_lane sm warp ~arr_id ~ibase ~len:(Array.length ga.data)
     (gather warp.regs dbase ibase ga.data ga.base sm.job.line_shift sm.x_lanes
-       ~full:(active = (1 lsl ws_of sm) - 1) active 0);
+       ~full:(active = (1 lsl ws) - 1) active 0);
   let nlines = coalesce sm warp in
   sm.job.stats.Stats.global_load_instrs <-
     sm.job.stats.Stats.global_load_instrs + 1;

@@ -4,7 +4,6 @@
     against direct evaluation on randomly generated kernels. *)
 
 module Cache = Gpusim.Cache
-module Coalescer = Cache_driver
 module Cta = Gpusim.Cta_scheduler
 module Config = Gpusim.Config
 module Gpu = Gpusim.Gpu
@@ -87,29 +86,29 @@ let prop_cache_capacity =
 let test_coalescer_broadcast () =
   let addrs = Array.make 32 4096 in
   Alcotest.(check int) "same address -> 1 line" 1
-    (Coalescer.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
+    (Cache_driver.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
 
 let test_coalescer_contiguous () =
   let addrs = Array.init 32 (fun i -> i * 4) in
   Alcotest.(check int) "contiguous floats -> 1 line" 1
-    (Coalescer.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
+    (Cache_driver.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
 
 let test_coalescer_divergent () =
   let addrs = Array.init 32 (fun i -> i * 4096) in
   Alcotest.(check int) "4KB stride -> 32 lines" 32
-    (Coalescer.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
+    (Cache_driver.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
 
 let test_coalescer_stride_8 () =
   (* the paper's example: inter-thread distance of 8 elements (32 B) means
      every four threads share a line: 8 requests per warp *)
   let addrs = Array.init 32 (fun i -> i * 32) in
   Alcotest.(check int) "8 lines" 8
-    (Coalescer.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
+    (Cache_driver.count ~line_bytes:128 ~addrs ~mask:0xFFFFFFFF)
 
 let test_coalescer_mask () =
   let addrs = Array.init 32 (fun i -> i * 4096) in
   Alcotest.(check int) "only active lanes" 4
-    (Coalescer.count ~line_bytes:128 ~addrs ~mask:0b1111)
+    (Cache_driver.count ~line_bytes:128 ~addrs ~mask:0b1111)
 
 let prop_coalescer_bounds =
   QCheck.Test.make ~name:"1 <= requests <= active lanes" ~count:300
@@ -120,7 +119,7 @@ let prop_coalescer_bounds =
       for lane = 0 to 31 do
         if mask land (1 lsl lane) <> 0 then incr active
       done;
-      let n = Coalescer.count ~line_bytes:128 ~addrs ~mask in
+      let n = Cache_driver.count ~line_bytes:128 ~addrs ~mask in
       n >= min 1 !active && n <= max 1 !active)
 
 (* ------------------------- Occupancy ------------------------------- *)

@@ -30,8 +30,7 @@ let print_op = function
 
 (* The three geometries the simulator builds from [Config.scaled]: the
    max-L1D cache (64 sets), the L1D left by a 2 KB carveout (60 sets,
-   [set_of]'s division path) and the shared L2.  [sets] scales the line
-   draws so that sets fill, conflict and hit. *)
+   [set_of]'s division path) and the shared L2. *)
 let geometries =
   let cfg = Gpusim.Config.scaled () in
   let open Gpusim.Config in
@@ -42,11 +41,23 @@ let geometries =
     ("L2", (cfg.l2_bytes, cfg.l2_assoc, cfg.l1d_mshrs * cfg.num_sms));
   ]
 
-let gen_ops ~lines =
+(* lines enough to overflow two of the geometry's sets, so that every
+   geometry evicts, the 16-way L2 included *)
+let conflicting ~bytes ~assoc =
+  let r = Ref.create ~bytes ~assoc ~line_bytes:128 ~mshrs:1 () in
+  let rec pick line acc n =
+    if n = 0 then acc
+    else if Ref.set_index r line < 2 then pick (line + 1) (line :: acc) (n - 1)
+    else pick (line + 1) acc n
+  in
+  pick 0 [] (4 * (assoc + 2))
+
+let gen_ops ~lines ~conflicting =
   let open QCheck.Gen in
   let line =
     frequency
       [
+        (4, oneofl conflicting);
         (4, int_bound 31);  (* a hot set of lines *)
         (4, int_bound (2 * lines));  (* about twice the capacity *)
         (1, map (fun k -> k * lines) (int_bound 64));  (* strided aliases *)
@@ -132,7 +143,7 @@ let prop_cache_matches_reference (name, (bytes, assoc, mshrs)) =
     ~count:200
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map print_op ops))
-       (gen_ops ~lines))
+       (gen_ops ~lines ~conflicting:(conflicting ~bytes ~assoc)))
     (fun ops ->
       match replay ~bytes ~assoc ~mshrs ops with
       | None -> true
