@@ -8,7 +8,7 @@ type t = {
   div_shift : int;
       (* otherwise: [x / num_sets] is [(x * div_magic) lsr div_shift] for
          0 <= x < 2^30 (Granlund and Montgomery's invariant division), a
-         multiply where the fold would pay three integer divisions *)
+         multiply where the fold would pay an integer division *)
   assoc : int;
   tags : int array;  (* set-major, -1 = invalid *)
   data_ready : int array;  (* cycle the line's data arrives *)
@@ -30,16 +30,10 @@ let create ~bytes ~assoc ~line_bytes ~mshrs () =
   if line_bytes <= 0 then invalid_arg "Cache.create: line_bytes must be positive";
   let num_sets = max 1 (bytes / (assoc * line_bytes)) in
   let ways = num_sets * assoc in
-  let sets_shift =
-    if num_sets land (num_sets - 1) = 0 then
-      let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-      log2 num_sets 0
-    else -1
-  in
-  let ceil_log2 = if sets_shift >= 0 then sets_shift else log2_ceil num_sets in
+  let ceil_log2 = log2_ceil num_sets in
   {
     num_sets;
-    sets_shift;
+    sets_shift = (if num_sets land (num_sets - 1) = 0 then ceil_log2 else -1);
     div_magic = (1 lsl (30 + ceil_log2)) / num_sets + 1;
     div_shift = 30 + ceil_log2;
     assoc;
@@ -54,12 +48,12 @@ let create ~bytes ~assoc ~line_bytes ~mshrs () =
 
 let sets t = t.num_sets
 
+let[@inline] div_sets t x = (x * t.div_magic) lsr t.div_shift
+
 (* XOR-folded set hashing, as GPU L1s use: without it, the power-of-two
    row strides of dense-matrix kernels alias a warp's 32 divergent lines
    into a couple of sets and conflict-thrash even when the working set is
    far below capacity, defeating any capacity-based reasoning. *)
-let[@inline] div_sets t x = (x * t.div_magic) lsr t.div_shift
-
 let set_of_general t line =
   let n = t.num_sets in
   if line >= 0 && line < 1 lsl 30 then

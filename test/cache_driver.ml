@@ -31,12 +31,9 @@ let access ?on_evict c ~now ~line ~miss_ready =
     refreshes. *)
 let present c ~line = Cache.probe c ~now:0 ~line >= 0
 
-(** The distinct lines the active lanes' byte addresses touch, as the SM
-    counts them: each address shifted to its line, then deduplicated. *)
-let lines ~line_bytes ~addrs ~mask =
+(** How many distinct lines the active lanes' byte addresses touch, as
+    the SM counts them: each address shifted to its line, then
+    deduplicated. *)
+let count ~line_bytes ~addrs ~mask =
   let lanes = Array.map (fun a -> a / line_bytes) addrs in
-  let buf = Array.make (max 1 (Array.length lanes)) 0 in
-  let n = Gpusim.Coalescer.dedup ~lanes ~mask ~buf in
-  Array.to_list (Array.sub buf 0 n)
-
-let count ~line_bytes ~addrs ~mask = List.length (lines ~line_bytes ~addrs ~mask)
+  Gpusim.Coalescer.dedup ~lanes ~mask ~buf:(Array.make (Array.length lanes) 0)

@@ -161,7 +161,7 @@ let test_interference_hooks () =
           if r < 0 then begin
             ignore (Cache.miss_issue l1 ~now:i);
             p.Sm.fill w r;
-            Cache.fill l1 ~miss:r ~line ~ready:i
+            Cache.fill l1 ~miss:r ~line ~ready:0
           end
         end
       done);
@@ -331,8 +331,8 @@ let test_words_per_warp () =
 
 (* An uncached grid cell's manifest is never written, so it takes no
    snapshot of the metrics registry: a stage's words per cell do not
-   move when more metrics are registered (the serve stage's server
-   registers its own between the bench's grid stages and a re-run). *)
+   move when more metrics are registered, as the bench's serve stage
+   does when its server starts. *)
 let test_cell_ignores_registry () =
   let stage () =
     Serve.Bench.grid_stage
