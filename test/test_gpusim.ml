@@ -335,6 +335,17 @@ let test_exec_launch_arg_mismatch () =
     (Gpu.Launch_error "kernel k expects 2 arguments, got 1") (fun () ->
       ignore (Gpu.launch dev (Gpu.default_launch ~prog ~grid:(1, 1) ~block:(32, 1) [ Gpu.Arr "a" ])))
 
+(* the lane loops shift addresses to lines, so a launch refuses a line
+   size that is not a power of two, even in a record built around
+   [Config.validate] *)
+let test_exec_line_size_refused () =
+  let prog = compile "__global__ void k(float *a) { a[0] = 1.0; }" in
+  let dev = Gpu.create { cfg with Config.line_bytes = 96 } in
+  Gpu.upload dev "a" (Array.make 8 0.);
+  Alcotest.check_raises "96-byte lines"
+    (Gpu.Launch_error "line size 96 is not a power of two") (fun () ->
+      ignore (Gpu.launch dev (Gpu.default_launch ~prog ~grid:(1, 1) ~block:(32, 1) [ Gpu.Arr "a" ])))
+
 (* --------------------- Differential property ----------------------- *)
 
 (* random arithmetic kernels: out[i] = f(i, in[i]) with f drawn from a
@@ -457,6 +468,8 @@ let tests =
         Alcotest.test_case "division by zero" `Quick test_exec_division_by_zero_detected;
         Alcotest.test_case "deterministic timing" `Quick test_exec_deterministic_cycles;
         Alcotest.test_case "argument mismatch" `Quick test_exec_launch_arg_mismatch;
+        Alcotest.test_case "line size not a power of two" `Quick
+          test_exec_line_size_refused;
         QCheck_alcotest.to_alcotest prop_sim_matches_direct_eval;
       ] );
   ]
