@@ -92,28 +92,28 @@ let of_json json =
           | Json.Bool b -> b
           | _ -> raise (Json.Type_error "obs_enabled must be a bool"));
         metrics =
-          (match Json.member "metrics" j with
-          | Json.Obj fields ->
-            Some
-              (List.map
-                 (fun (k, v) ->
-                   ( k,
-                     match v with
-                     | Json.Int n -> Obs.Metrics.Count n
-                     | Json.Float g -> Obs.Metrics.Gauge g
-                     | Json.Obj _ as h ->
-                       Obs.Metrics.Hist
-                         {
-                           Obs.Histogram.s_count =
-                             Json.to_int (Json.member "count" h);
-                           s_p50 = Json.to_int (Json.member "p50" h);
-                           s_p90 = Json.to_int (Json.member "p90" h);
-                           s_p99 = Json.to_int (Json.member "p99" h);
-                           s_max = Json.to_int (Json.member "max" h);
-                         }
-                     | _ -> raise (Json.Type_error "metric must be a number") ))
-                 fields)
-          | _ -> raise (Json.Type_error "metrics must be an object"));
+          Some
+            (match Json.member "metrics" j with
+            | Json.Obj fields ->
+              List.map
+                (fun (k, v) ->
+                  ( k,
+                    match v with
+                    | Json.Int n -> Obs.Metrics.Count n
+                    | Json.Float g -> Obs.Metrics.Gauge g
+                    | Json.Obj _ as h ->
+                      Obs.Metrics.Hist
+                        {
+                          Obs.Histogram.s_count =
+                            Json.to_int (Json.member "count" h);
+                          s_p50 = Json.to_int (Json.member "p50" h);
+                          s_p90 = Json.to_int (Json.member "p90" h);
+                          s_p99 = Json.to_int (Json.member "p99" h);
+                          s_max = Json.to_int (Json.member "max" h);
+                        }
+                    | _ -> raise (Json.Type_error "metric must be a number") ))
+                fields
+            | _ -> raise (Json.Type_error "metrics must be an object"));
         launch_key = Option.map Json.to_str (Json.member_opt "launch_key" j);
       })
     json
