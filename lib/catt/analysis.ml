@@ -331,3 +331,20 @@ let analyze_kernel (k : Ast.kernel) geo =
   in
   let _ = List.fold_left (top geo) env0 k.Ast.body in
   List.rev !reports
+
+let report_of_gaccess (li : Staticmodel.Gaccess.loop_info) =
+  let access (g : Staticmodel.Gaccess.gaccess) =
+    {
+      array = g.Staticmodel.Gaccess.garray;
+      index = g.Staticmodel.Gaccess.gindex;
+      is_load = g.Staticmodel.Gaccess.gload;
+      is_store = g.Staticmodel.Gaccess.gstore;
+      innermost_iter = g.Staticmodel.Gaccess.ginnermost;
+    }
+  in
+  {
+    loop_id = li.Staticmodel.Gaccess.gloop_id;
+    loop_var = li.Staticmodel.Gaccess.gloop_var;
+    accesses = List.map access li.Staticmodel.Gaccess.gaccesses;
+    has_barrier = barrier_in li.Staticmodel.Gaccess.gloop;
+  }

@@ -41,8 +41,18 @@ val same_index : Affine.value -> Affine.value -> bool
 (** Equality on the affine domain: two [Unknown]s compare equal (one
     irregular request stream per array), affine forms structurally. *)
 
+val barrier_in : Minicuda.Ast.stmt -> bool
+(** The statement's sub-tree reaches a [__syncthreads()].  Such a loop is
+    never warp-split: the groups would rendezvous at different barrier
+    sites, undefined behaviour on real hardware too. *)
+
 val analyze_kernel :
   Minicuda.Ast.kernel -> geometry -> loop_report list
 (** Reports for each top-level loop, in source order.  The kernel must
     typecheck (shared arrays are recognized and excluded from off-chip
     accesses). *)
+
+val report_of_gaccess : Staticmodel.Gaccess.loop_info -> loop_report
+(** The same loop's report rebuilt from a {!Staticmodel.Gaccess} walk,
+    which numbers loops and merges accesses as {!analyze_kernel} does;
+    the catt-sa model and profile-all walk each kernel once this way. *)

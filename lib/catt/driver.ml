@@ -95,21 +95,20 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
     let footprints =
       Obs.Span.with_span "catt.footprint" (fun fp_span ->
         let block_x = geometry.Analysis.block_x in
-        let reports = Analysis.analyze_kernel kernel geometry in
         let fps =
           match model with
           | `Eq8 ->
-            List.map (Footprint.of_loop ~line_bytes ~warp_size ~block_x) reports
+            List.map
+              (Footprint.of_loop ~line_bytes ~warp_size ~block_x)
+              (Analysis.analyze_kernel kernel geometry)
           | `Sa ->
-            (* one interval/reuse pass per kernel; loops joined by id *)
+            (* one interval/reuse walk per kernel, which also yields the
+               loop reports *)
             let sa = Staticmodel.Gaccess.analyze kernel geometry in
             List.map
-              (fun (r : Analysis.loop_report) ->
-                Footprint.of_loop_sa ~line_bytes ~warp_size ~block_x
-                  ~tbs:occ.Occupancy.tbs_per_sm
-                  (Staticmodel.Gaccess.find_loop sa ~loop_id:r.Analysis.loop_id)
-                  r)
-              reports
+              (Footprint.of_loop_sa ~line_bytes ~warp_size ~block_x
+                 ~tbs:occ.Occupancy.tbs_per_sm)
+              sa.Staticmodel.Gaccess.loops
         in
         Option.iter
           (fun s -> Obs.Span.add_attr s "loops" (Obs.Span.Int (List.length fps)))
@@ -152,7 +151,6 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
           in
           (demoted, None, occ.Occupancy.smem_carveout, tbs)
     in
-    let one_dim_block = geometry.Analysis.block_y = 1 in
     let plan =
       List.filter_map
         (fun l ->
@@ -163,54 +161,20 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
           else None)
         loops
     in
-    let build plan =
-      let t =
-        if plan = [] then kernel
-        else
-          Transform.warp_throttle_plan kernel ~plan ~warps_per_tb ~warp_size
-            ~one_dim_block
-      in
-      match tb_throttle_plan with
-      | Some (_, dummy_bytes) ->
-        Transform.tb_throttle t ~dummy_elems:(max 1 (dummy_bytes / 4))
-      | None -> t
+    (* The sanitizer has the last word: [Transform.gated_rewrite] keeps
+       what it accepts of the plan and the pad (the chain BFTT runs too).
+       The decisions of every dropped loop are demoted to
+       unresolved-at-full-TLP below so Table 3 reports what runs. *)
+    let g =
+      Transform.gated_rewrite
+        ?pad_bytes:(Option.map snd tb_throttle_plan)
+        geometry kernel ~plan ~warps_per_tb ~warp_size
     in
-    let gate t = Sanitize.Check.gate geometry ~original:kernel ~transformed:t in
-    (* The sanitizer has the last word.  A warp split plants barriers, and
-       a loop sitting under thread-divergent control flow (common in
-       irregular kernels, whose Eq. 7 footprint is now large enough to ask
-       for throttling) cannot legally take one.  Degrade like the BFTT
-       path: whole plan -> per-loop-gated plan -> no splits, and demote the
-       decisions of every dropped loop to unresolved-at-full-TLP so Table 3
-       reports what actually runs. *)
-    let plan, transformed, gate_failed =
-      let full = build plan in
-      match gate full with
-      | Ok () -> (plan, full, false)
-      | Error _ ->
-        let kept =
-          List.filter
-            (fun (loop_id, n) ->
-              match
-                gate
-                  (Transform.warp_throttle kernel ~loop_id ~n ~warps_per_tb
-                     ~warp_size ~one_dim_block)
-              with
-              | Ok () -> true
-              | Error _ -> false)
-            plan
-        in
-        let combined = build kept in
-        (match gate combined with
-        | Ok () -> (kept, combined, true)
-        | Error _ -> (
-          (* even the accepted single-loop splits interact badly together:
-             keep only the TB-level pad, or nothing *)
-          let pad_only = build [] in
-          match gate pad_only with
-          | Ok () -> ([], pad_only, true)
-          | Error _ -> ([], kernel, true)))
+    let gate_failed =
+      g.Transform.splits <> plan
+      || (tb_throttle_plan <> None && not g.Transform.pad_kept)
     in
+    let plan = g.Transform.splits and transformed = g.Transform.rewritten in
     let loops =
       if not gate_failed then loops
       else

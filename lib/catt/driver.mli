@@ -8,7 +8,9 @@
     + statically collect per-loop off-chip accesses ({!Analysis}) and
       their footprints ({!Footprint}, Eqs. 5–8);
     + search throttling factors per loop ({!Throttle}, Eq. 9);
-    + emit the transformed kernel ({!Transform}, Figs. 4–5).
+    + emit the transformed kernel ({!Transform}, Figs. 4–5) through the
+      sanitizer-gated fallback chain BFTT shares
+      ({!Transform.gated_rewrite}).
 
     The result carries everything the experiment harness needs: per-loop
     decisions (Table 3), the transformed source, the carveout to launch
@@ -30,8 +32,9 @@ type t = {
   baseline_tlp : int * int;  (** (warps per TB, TBs per SM) *)
   resident_tbs : int;  (** TBs per SM after any TB-level throttling *)
   gate_degraded : bool;
-      (** the sanitizer refused part of the plan and [analyze] fell back
-          (whole plan → per-loop → pad only → untouched) *)
+      (** the sanitizer refused part of the plan or the pad, and
+          {!Transform.gated_rewrite} fell back (whole plan → per-loop →
+          pad only → untouched) *)
   analysis_seconds : float;
 }
 
@@ -45,7 +48,8 @@ val analyze :
     oversized shared memory).  [?model] selects the footprint estimator:
     [`Eq8] (default) is the paper's plain per-warp model,
     [`Sa] the sharpened interval/reuse model ({!Footprint.of_loop_sa},
-    scheme [catt-sa]); the Eq. 9 search and the transform are shared. *)
+    scheme [catt-sa]), whose one {!Staticmodel.Gaccess} walk also yields
+    the loop reports; the Eq. 9 search and the transform are shared. *)
 
 val selected_tlp : t -> loop_id:int -> int * int
 (** The Table 3 entry for one loop: [(active warps per TB, concurrent TBs)]

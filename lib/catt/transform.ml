@@ -32,16 +32,12 @@ let guarded_copy ~warp_size ~one_dim_block ~group_size ~group stmt =
   let loc = stmt.Ast.sloc in
   [ Ast.at ~loc (Ast.If (cond, [ stmt ], [])); Ast.at ~loc Ast.Syncthreads ]
 
-(* A loop whose body reaches a barrier cannot be split into warp-group
-   phases: the groups would rendezvous at different barrier sites, which is
-   undefined on real hardware and wrong in any model. *)
-let contains_barrier stmt =
-  Ast.fold_stmt (fun acc s -> acc || s.Ast.sk = Ast.Syncthreads) false stmt
-
 let split_loop ~n ~warps_per_tb ~warp_size ~one_dim_block stmt =
   if warps_per_tb mod n <> 0 then
     invalid_arg "Transform.warp_throttle: n must divide warps_per_tb";
-  if contains_barrier stmt then [ stmt ]
+  (* a loop whose body reaches a barrier cannot be split into warp-group
+     phases: the groups would rendezvous at different barrier sites *)
+  if Analysis.barrier_in stmt then [ stmt ]
   else
     let group_size = warps_per_tb / n in
     List.concat
@@ -99,23 +95,6 @@ let count_top_loops (k : Ast.kernel) =
   in
   count_block 0 k.Ast.body
 
-(* One pass splitting every top-level loop — the uniform whole-kernel
-   throttling that the BFTT baseline applies. *)
-let warp_throttle_all (k : Ast.kernel) ~n ~warps_per_tb ~warp_size
-    ~one_dim_block =
-  let rec rewrite_block (b : Ast.block) : Ast.block =
-    List.concat_map rewrite_stmt b
-  and rewrite_stmt (s : Ast.stmt) : Ast.stmt list =
-    match s.Ast.sk with
-    | Ast.For _ | Ast.While _ ->
-      split_loop ~n ~warps_per_tb ~warp_size ~one_dim_block s
-    | Ast.If (cond, then_b, else_b) ->
-      [ { s with Ast.sk = Ast.If (cond, rewrite_block then_b, rewrite_block else_b) } ]
-    | Ast.Block body -> [ { s with Ast.sk = Ast.Block (rewrite_block body) } ]
-    | _ -> [ s ]
-  in
-  { k with Ast.body = rewrite_block k.Ast.body }
-
 let tb_throttle (k : Ast.kernel) ~dummy_elems =
   if dummy_elems <= 0 then
     invalid_arg "Transform.tb_throttle: dummy_elems must be positive";
@@ -163,3 +142,54 @@ let plan_tb_throttle (cfg : Gpusim.Config.t) ~tb_threads ~num_regs
         match acc with Some _ -> acc | None -> try_carveout carveout)
       None options
   end
+
+type gated = {
+  rewritten : Ast.kernel;
+  splits : (int * int) list;
+  pad_kept : bool;
+}
+
+(* The sanitizer has the last word on every rewrite.  A warp split plants
+   barriers, and a loop under thread-divergent control flow cannot legally
+   take one, so the chain narrows what it asks for until the gate accepts:
+   the whole plan, the loops whose single split passes, the pad alone, the
+   untouched kernel.  A step that would rebuild a refused rewrite is
+   skipped. *)
+let gated_rewrite ?pad_bytes (geo : Sanitize.Geom.t) (k : Ast.kernel) ~plan
+    ~warps_per_tb ~warp_size =
+  let one_dim_block = geo.Sanitize.Geom.block_y = 1 in
+  let plan = List.filter (fun (_, n) -> n > 1) plan in
+  let split splits =
+    if splits = [] then k
+    else
+      warp_throttle_plan k ~plan:splits ~warps_per_tb ~warp_size
+        ~one_dim_block
+  in
+  let pad t =
+    match pad_bytes with
+    | Some bytes -> tb_throttle t ~dummy_elems:(max 1 (bytes / 4))
+    | None -> t
+  in
+  let passes t =
+    Result.is_ok (Sanitize.Check.gate geo ~original:k ~transformed:t)
+  in
+  let attempt splits =
+    let t = pad (split splits) in
+    if passes t then
+      Some { rewritten = t; splits; pad_kept = pad_bytes <> None }
+    else None
+  in
+  let untouched = { rewritten = k; splits = []; pad_kept = false } in
+  match attempt plan with
+  | Some g -> g
+  | None when plan = [] -> untouched
+  | None -> (
+    let kept =
+      match (plan, pad_bytes) with
+      | [ _ ], None -> []  (* its single split is the rewrite just refused *)
+      | _ -> List.filter (fun s -> passes (split [ s ])) plan
+    in
+    (* [kept = plan] is the refused rewrite again, [kept = []] the pad alone *)
+    match if kept = plan || kept = [] then None else attempt kept with
+    | Some g -> g
+    | None -> Option.value (attempt []) ~default:untouched)

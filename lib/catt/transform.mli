@@ -13,11 +13,6 @@
 
 val dummy_array_name : string
 
-val contains_barrier : Minicuda.Ast.stmt -> bool
-(** True when the statement's sub-tree reaches a [__syncthreads()] — such
-    loops are never warp-split (the groups would rendezvous at different
-    barrier sites, undefined behaviour on real hardware too). *)
-
 val warp_throttle_plan :
   Minicuda.Ast.kernel ->
   plan:(int * int) list ->
@@ -27,7 +22,8 @@ val warp_throttle_plan :
   Minicuda.Ast.kernel
 (** [plan] maps loop ids (pre-order indices among top-level loops of the
     {e original} kernel, matching {!Analysis.loop_report.loop_id}) to their
-    split factors; all listed loops are rewritten in one pass — splitting a
+    split factors; a loop that reaches a barrier ({!Analysis.barrier_in})
+    is left whole; all listed loops are rewritten in one pass — splitting a
     loop renumbers the ones after it, so sequential single-loop rewrites
     would target the wrong statements.  Each factor must divide
     [warps_per_tb].  Raises [Invalid_argument] on unknown loop ids. *)
@@ -45,16 +41,6 @@ val warp_throttle :
 val count_top_loops : Minicuda.Ast.kernel -> int
 (** Number of top-level loops, i.e. the valid [loop_id] range. *)
 
-val warp_throttle_all :
-  Minicuda.Ast.kernel ->
-  n:int ->
-  warps_per_tb:int ->
-  warp_size:int ->
-  one_dim_block:bool ->
-  Minicuda.Ast.kernel
-(** Splits {e every} top-level loop with the same factor — the uniform
-    whole-application throttling that the BFTT baseline applies. *)
-
 val tb_throttle : Minicuda.Ast.kernel -> dummy_elems:int -> Minicuda.Ast.kernel
 (** Prepends the dummy shared allocation of [dummy_elems] floats. *)
 
@@ -69,3 +55,26 @@ val plan_tb_throttle :
     and a dummy size [d] (bytes) such that occupancy under [c] with
     [shared_bytes + d] per TB is exactly [target_tbs], maximizing the
     remaining L1D.  Returns [(carveout, dummy_bytes)]. *)
+
+type gated = {
+  rewritten : Minicuda.Ast.kernel;  (** what runs *)
+  splits : (int * int) list;  (** the entries of [plan] that were kept *)
+  pad_kept : bool;  (** the TB-level pad survived *)
+}
+
+val gated_rewrite :
+  ?pad_bytes:int ->
+  Sanitize.Geom.t ->
+  Minicuda.Ast.kernel ->
+  plan:(int * int) list ->
+  warps_per_tb:int ->
+  warp_size:int ->
+  gated
+(** The one sanitizer-gated rewrite, shared by CATT ({!Driver.analyze}) and
+    the BFTT baseline ([Experiments.Runner.fixed_variant]): the warp splits
+    of [plan] (as for {!warp_throttle_plan}; factors of 1 are no split) plus,
+    with [pad_bytes], the {!tb_throttle} pad of [pad_bytes / 4] floats.
+    {!Sanitize.Check.gate} must accept the result, so the request narrows
+    until it does: the whole plan with the pad, then only the loops whose
+    single split the gate accepts (with the pad), then the pad alone, then
+    the untouched kernel (returned physically unchanged). *)

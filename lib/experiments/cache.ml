@@ -89,7 +89,6 @@ let config_fingerprint (c : Config.t) =
     dram_latency;
     dram_slot_cycles;
     alu_latency;
-    lsu_throughput;
     issue_width;
     (* trace_cap deliberately excluded: it bounds the Fig. 2 trace ring,
        which is never cached, and cannot change simulated counters *)
@@ -117,7 +116,6 @@ let config_fingerprint (c : Config.t) =
       Printf.sprintf "dram_latency=%d" dram_latency;
       Printf.sprintf "dram_slot_cycles=%d" dram_slot_cycles;
       Printf.sprintf "alu_latency=%d" alu_latency;
-      Printf.sprintf "lsu_throughput=%d" lsu_throughput;
       Printf.sprintf "issue_width=%d" issue_width;
     ]
 

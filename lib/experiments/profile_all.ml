@@ -12,9 +12,9 @@
     The Eq. 8 number is a capacity *requirement*, not a miss prediction,
     so we report Spearman rank correlation: the model earns its keep if
     bigger-footprint loops miss more, which is exactly the ordering the
-    TLP search (Eq. 9) relies on.  Loop numbering replicates
-    {!Catt.Analysis.analyze_kernel}: top-level [for]/[while] statements in
-    traversal order, recursing into [if] branches and blocks. *)
+    TLP search (Eq. 9) relies on.  One {!Staticmodel.Gaccess} walk per
+    kernel numbers the loops (as {!Catt.Analysis.analyze_kernel} does) and
+    feeds both footprint columns. *)
 
 module Json = Gpu_util.Json
 module Ast = Minicuda.Ast
@@ -85,37 +85,13 @@ let profiles cfg (w : Workloads.Workload.t) =
   | Some pairs -> pairs
   | None -> recompute ()
 
-(* ------------------------------------------------------------------ *)
-(* Loop source spans                                                   *)
-(* ------------------------------------------------------------------ *)
-
+(* first and last source line of a loop statement *)
 let stmt_span s =
   Ast.fold_stmt
     (fun (lo, hi) st ->
       let l = st.Ast.sloc.Ast.line in
       if l = 0 then (lo, hi) else (min lo l, max hi l))
     (max_int, 0) s
-
-(** [(loop_id, (first_line, last_line))] for every loop
-    {!Catt.Analysis.analyze_kernel} reports, in the same numbering. *)
-let loop_spans (k : Ast.kernel) =
-  let spans = ref [] in
-  let next = ref 0 in
-  let rec top (s : Ast.stmt) =
-    match s.Ast.sk with
-    | Ast.For _ | Ast.While _ ->
-      let id = !next in
-      incr next;
-      let lo, hi = stmt_span s in
-      if lo <= hi then spans := (id, (lo, hi)) :: !spans
-    | Ast.If (_, then_b, else_b) ->
-      List.iter top then_b;
-      List.iter top else_b
-    | Ast.Block body -> List.iter top body
-    | _ -> ()
-  in
-  List.iter top k.Ast.body;
-  List.rev !spans
 
 (* ------------------------------------------------------------------ *)
 (* Correlation rows                                                    *)
@@ -152,27 +128,21 @@ let kernel_rows cfg (w : Workloads.Workload.t) name collector =
   | Error _ -> []
   | Ok occ ->
     let cw = occ.Catt.Occupancy.concurrent_warps in
-    let spans = loop_spans kernel in
-    let reports = Catt.Analysis.analyze_kernel kernel geo in
-    let sa = Staticmodel.Gaccess.analyze kernel geo in
+    let line_bytes = cfg.Gpusim.Config.line_bytes
+    and warp_size = cfg.Gpusim.Config.warp_size
+    and block_x = geo.Catt.Analysis.block_x in
     List.filter_map
-      (fun (report : Catt.Analysis.loop_report) ->
-        match List.assoc_opt report.Catt.Analysis.loop_id spans with
-        | None -> None
-        | Some (lo, hi) ->
-          let fp =
-            Catt.Footprint.of_loop ~line_bytes:cfg.Gpusim.Config.line_bytes
-              ~warp_size:cfg.Gpusim.Config.warp_size
-              ~block_x:geo.Catt.Analysis.block_x report
-          in
+      (fun (li : Staticmodel.Gaccess.loop_info) ->
+        let lo, hi = stmt_span li.Staticmodel.Gaccess.gloop in
+        if lo > hi then None
+        else
           let fp_sa =
-            Catt.Footprint.of_loop_sa ~line_bytes:cfg.Gpusim.Config.line_bytes
-              ~warp_size:cfg.Gpusim.Config.warp_size
-              ~block_x:geo.Catt.Analysis.block_x
-              ~tbs:occ.Catt.Occupancy.tbs_per_sm
-              (Staticmodel.Gaccess.find_loop sa
-                 ~loop_id:report.Catt.Analysis.loop_id)
-              report
+            Catt.Footprint.of_loop_sa ~line_bytes ~warp_size ~block_x
+              ~tbs:occ.Catt.Occupancy.tbs_per_sm li
+          in
+          let report = fp_sa.Catt.Footprint.loop in
+          let fp =
+            Catt.Footprint.of_loop ~line_bytes ~warp_size ~block_x report
           in
           let loads, misses =
             List.fold_left
@@ -198,7 +168,7 @@ let kernel_rows cfg (w : Workloads.Workload.t) name collector =
                 (if loads = 0 then 0.0
                  else float_of_int misses /. float_of_int loads);
             })
-      reports
+      (Staticmodel.Gaccess.analyze kernel geo).Staticmodel.Gaccess.loops
 
 let rows cfg =
   List.concat_map

@@ -95,9 +95,3 @@ let warm ?(jobs = 1) artifact_ids =
   let cells = List.concat_map plan artifact_ids in
   ignore (Runner.run_many ~jobs cells);
   List.length cells
-
-let render_all () =
-  String.concat "\n\n"
-    (List.map
-       (fun a -> Printf.sprintf "==== %s ====\n\n%s" a.title (a.render ()))
-       artifacts)

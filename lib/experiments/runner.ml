@@ -6,7 +6,9 @@
       (per-loop decisions, Figs. 4/5 transforms, carveout choice);
     - [Fixed (n, m)] — the BFTT-style uniform transformation: every loop of
       every kernel split by [n] (clamped per kernel to a divisor of its
-      warp count) and TB residency reduced by [m].
+      warp count) and TB residency reduced by [m].  Both rewrites go
+      through {!Catt.Transform.gated_rewrite}, the sanitizer-gated
+      fallback chain CATT's plans take too.
 
     Every run re-seeds the workload's inputs identically, executes the full
     launch sequence on a fresh device, and checks the CPU oracle — so a
@@ -124,43 +126,6 @@ let largest_divisor_leq value cap =
     1
     (Catt.Throttle.divisors value)
 
-(* BFTT warp splitting under the sanitizer's gate.  The uniform
-   whole-kernel split is blind: on kernels with thread-divergent control
-   flow it would plant barriers where part of the block never arrives.
-   When the gate refuses the whole-kernel split, retry loop by loop and
-   keep only the splits the sanitizer accepts (the combined plan is gated
-   once more — phases of different loops could in principle interact). *)
-let gated_warp_throttle_all kernel geo ~n ~warps_per_tb ~warp_size
-    ~one_dim_block =
-  if n <= 1 then kernel
-  else begin
-    let gate k = Sanitize.Check.gate geo ~original:kernel ~transformed:k in
-    let all =
-      Catt.Transform.warp_throttle_all kernel ~n ~warps_per_tb ~warp_size
-        ~one_dim_block
-    in
-    match gate all with
-    | Ok () -> all
-    | Error _ ->
-      let plan =
-        List.filter_map
-          (fun loop_id ->
-            let cand =
-              Catt.Transform.warp_throttle kernel ~loop_id ~n ~warps_per_tb
-                ~warp_size ~one_dim_block
-            in
-            match gate cand with Ok () -> Some (loop_id, n) | Error _ -> None)
-          (List.init (Catt.Transform.count_top_loops kernel) Fun.id)
-      in
-      if plan = [] then kernel
-      else
-        let combined =
-          Catt.Transform.warp_throttle_plan kernel ~plan ~warps_per_tb
-            ~warp_size ~one_dim_block
-        in
-        (match gate combined with Ok () -> combined | Error _ -> kernel)
-  end
-
 (** The source a [Fixed (n, m)] scheme actually executes, with its TLP and
     carveout.  Shared with the sanitize-all artifact, so what that sweep
     checks is exactly what runs. *)
@@ -188,34 +153,30 @@ let fixed_variant cfg kernel geo ~n ~m =
     let tbs = occ.Catt.Occupancy.tbs_per_sm in
     let n' = largest_divisor_leq warps_per_tb n in
     let m' = min m (tbs - 1) in
-    let one_dim_block = geo.Catt.Analysis.block_y = 1 in
-    let k =
-      gated_warp_throttle_all kernel geo ~n:n' ~warps_per_tb
-        ~warp_size:cfg.Config.warp_size ~one_dim_block
-    in
-    let k, carveout, tbs' =
+    let pad =
       if m' > 0 then
-        match
-          Catt.Transform.plan_tb_throttle cfg ~tb_threads
-            ~num_regs:prog0.Gpusim.Bytecode.num_regs
-            ~shared_bytes:prog0.Gpusim.Bytecode.shared_bytes
-            ~target_tbs:(tbs - m')
-        with
-        | Some (c, dummy_bytes) ->
-          let kt =
-            Catt.Transform.tb_throttle k ~dummy_elems:(max 1 (dummy_bytes / 4))
-          in
-          (* the pad store is a benign broadcast, so this gate passes; kept
-             as a hard check so a regression in tb_throttle cannot ship *)
-          (match Sanitize.Check.gate geo ~original:kernel ~transformed:kt with
-          | Ok () -> (kt, Some c, tbs - m')
-          | Error _ -> (k, None, tbs))
-        | None -> (k, None, tbs)
-      else (k, None, tbs)
+        Catt.Transform.plan_tb_throttle cfg ~tb_threads
+          ~num_regs:prog0.Gpusim.Bytecode.num_regs
+          ~shared_bytes:prog0.Gpusim.Bytecode.shared_bytes
+          ~target_tbs:(tbs - m')
+      else None
+    in
+    (* every loop split by n', through the gate CATT's plans go through *)
+    let plan =
+      List.init (Catt.Transform.count_top_loops kernel) (fun id -> (id, n'))
+    in
+    let g =
+      Catt.Transform.gated_rewrite ?pad_bytes:(Option.map snd pad) geo kernel
+        ~plan ~warps_per_tb ~warp_size:cfg.Config.warp_size
+    in
+    let carveout, tbs' =
+      match pad with
+      | Some (c, _) when g.Catt.Transform.pad_kept -> (Some c, tbs - m')
+      | _ -> (None, tbs)
     in
     Ok
       {
-        fixed_kernel = k;
+        fixed_kernel = g.Catt.Transform.rewritten;
         fixed_tlp = (warps_per_tb / n', tbs');
         fixed_carveout = carveout;
       }

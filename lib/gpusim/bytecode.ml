@@ -211,7 +211,3 @@ let loop_extents prog =
   List.sort compare !result
 
 let is_global_load = function Ld (Global, _, _, _) -> true | _ -> false
-
-let is_global_access = function
-  | Ld (Global, _, _, _) | St (Global, _, _, _) -> true
-  | _ -> false

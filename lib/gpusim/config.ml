@@ -28,7 +28,6 @@ type t = {
           shared memory-bandwidth bottleneck that makes thrashing expensive
           (misses cost throughput, not just hideable latency) *)
   alu_latency : int;  (** cycles before the issuing warp is ready again *)
-  lsu_throughput : int;  (** memory transactions accepted per SM per cycle *)
   issue_width : int;
       (** instructions (from distinct warps) issued per SM per cycle —
           models the SM's multiple warp schedulers; > 1 makes memory
@@ -80,7 +79,6 @@ let volta ?(num_sms = 4) () =
       dram_latency = 270;
       dram_slot_cycles = 4;
       alu_latency = 2;
-      lsu_throughput = 1;
       issue_width = 2;
       trace_cap = 1 lsl 18;
     }
@@ -113,7 +111,6 @@ let scaled ?(num_sms = 4) ?(onchip_bytes = 32 * 1024) () =
       dram_latency = 270;
       dram_slot_cycles = 4;
       alu_latency = 2;
-      lsu_throughput = 1;
       issue_width = 2;
       trace_cap = 1 lsl 18;
     }
@@ -129,14 +126,6 @@ let with_onchip c bytes =
 
 (** L1D capacity left by a shared-memory carveout. *)
 let l1d_bytes c ~smem_carveout = c.onchip_bytes - smem_carveout
-
-(** Smallest configurable carveout that still fits [smem_bytes] of shared
-    memory, the paper's Section 4.1 rule.  [None] when even the largest
-    option is too small. *)
-let carveout_for c ~smem_bytes =
-  c.smem_carveout_options
-  |> List.sort compare
-  |> List.find_opt (fun opt -> opt >= smem_bytes)
 
 let pp fmt c =
   Format.fprintf fmt

@@ -5,9 +5,9 @@
     Timing model: one instruction issues per SM per cycle.  ALU
     instructions make the warp ready again after [alu_latency]; memory
     instructions block the issuing warp until the slowest of its coalesced
-    transactions returns; the LSU accepts [lsu_throughput] transactions per
-    cycle, so divergent warps occupy it for many cycles — the bandwidth
-    pressure that makes cache thrashing expensive.
+    transactions returns; the LSU accepts one transaction per cycle, so
+    divergent warps occupy it for many cycles — the bandwidth pressure
+    that makes cache thrashing expensive.
 
     Runtime policies (DYNCTA, CCWS, DAWS, SWL, CIAO, ATA) plug in
     through one {!policy} record of hooks per SM, built once per launch
@@ -503,8 +503,7 @@ let issue_load_transaction ~bypass sm warp ~arr_id line =
   let cfg = sm.job.cfg in
   let stats = sm.job.stats in
   let issue = imax sm.now sm.lsu_free in
-  (* one transaction per LSU slot; throughput > 1 shortens the slot to 0
-     every lsu_throughput-th transaction, approximating wider LSUs *)
+  (* the LSU accepts one transaction per cycle *)
   sm.lsu_free <- issue + 1;
   (* the policy sees every would-be L1D transaction and may redirect it
      around the cache; its bypasses share the ablation path (and its

@@ -146,17 +146,6 @@ let at ?(loc = dummy_loc) sk = { sk; sloc = loc }
 
 (** {2 Traversal helpers} *)
 
-(** [fold_expr f acc e] folds [f] over [e] and all sub-expressions,
-    parents before children. *)
-let rec fold_expr f acc e =
-  let acc = f acc e in
-  match e with
-  | Int_lit _ | Float_lit _ | Bool_lit _ | Var _ | Builtin _ -> acc
-  | Binop (_, a, b) -> fold_expr f (fold_expr f acc a) b
-  | Unop (_, a) | Index (_, a) | Cast (_, a) -> fold_expr f acc a
-  | Call (_, args) -> List.fold_left (fold_expr f) acc args
-  | Ternary (c, a, b) -> fold_expr f (fold_expr f (fold_expr f acc c) a) b
-
 (** [fold_stmt f acc s] folds [f] over [s] and all nested statements,
     parents before children. *)
 let rec fold_stmt f acc s =
@@ -170,34 +159,3 @@ let rec fold_stmt f acc s =
   | For { body; _ } | While (_, body) | Block body -> fold_block f acc body
 
 and fold_block f acc b = List.fold_left (fold_stmt f) acc b
-
-(** All expressions appearing directly in a statement (not in nested
-    statements): declaration initializers, assignment sources and targets,
-    conditions, loop bounds. *)
-let stmt_exprs s =
-  match s.sk with
-  | Decl (_, _, None) | Shared_decl _ | Syncthreads | Return | Break
-  | Continue | Block _ ->
-    []
-  | Decl (_, _, Some e) -> [ e ]
-  | Assign (Lvar _, _, e) -> [ e ]
-  | Assign (Larr (_, idx), _, e) -> [ idx; e ]
-  | If (c, _, _) -> [ c ]
-  | For { init; cond; step; _ } -> [ init; cond; step ]
-  | While (c, _) -> [ c ]
-
-(** Every array name read or written anywhere in a block. *)
-let arrays_of_block block =
-  let add acc name = if List.mem name acc then acc else name :: acc in
-  let of_expr acc e =
-    fold_expr
-      (fun acc e -> match e with Index (a, _) -> add acc a | _ -> acc)
-      acc e
-  in
-  let of_stmt acc s =
-    let acc =
-      match s.sk with Assign (Larr (a, _), _, _) -> add acc a | _ -> acc
-    in
-    List.fold_left of_expr acc (stmt_exprs s)
-  in
-  List.rev (fold_block of_stmt [] block)

@@ -103,8 +103,3 @@ let victim_count t ~arr_id =
 let rows t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cells []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let totals t =
-  Hashtbl.fold
-    (fun _ c (h, p, m) -> (h + c.hits, p + c.pending_hits, m + c.misses))
-    t.cells (0, 0, 0)

@@ -23,10 +23,6 @@ let check_kernel (geo : Geom.t) (k : Ast.kernel) : Diag.t list =
     @ Races.check geo k.Ast.kernel_name r
     @ Bounds.check k.Ast.kernel_name r)
 
-(** All kernels of a program under one geometry. *)
-let check_program (geo : Geom.t) (p : Ast.program) : Diag.t list =
-  List.concat_map (check_kernel geo) p.Ast.kernels
-
 let gate (geo : Geom.t) ~(original : Ast.kernel) ~(transformed : Ast.kernel) :
     (unit, Diag.t list) result =
   if original == transformed then Ok ()  (* identity rewrite: nothing to gate *)

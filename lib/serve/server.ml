@@ -347,7 +347,6 @@ let create ?handler ?(tenant_quota = 0) ?slow_ms ?(slow_sample = 1) ~cfg ~jobs
       float_of_int (Atomic.get t.live_conns));
   t
 
-let config t = t.cfg
 let in_flight t = Atomic.get t.in_flight
 
 let live_connections t = Atomic.get t.live_conns

@@ -6,8 +6,9 @@
     guards and the launch geometry via {!Vrange}) and a block-uniformity
     bit.  Loop numbering and access merging replicate [Analysis] exactly —
     the paper's model treats each top-level loop (recursing through [if]
-    arms and blocks) as one throttling region — so a report here can be
-    joined to an [Analysis.loop_report] by [loop_id].
+    arms and blocks) as one throttling region — so a report here, which
+    carries its loop statement, rebuilds the [Analysis.loop_report] of the
+    same loop ([Catt.Analysis.report_of_gaccess]).
 
     Unlike [Analysis], accesses in straight-line code outside every
     top-level loop are also collected ([straight]); the lint pass wants
@@ -37,6 +38,7 @@ type loop_info = {
   gloop_id : int;  (** matches [Analysis.loop_report.loop_id] *)
   gloop_var : string;
   gaccesses : gaccess list;
+  gloop : Ast.stmt;  (** the top-level [for]/[while] statement *)
 }
 
 type t = {
@@ -250,7 +252,12 @@ let analyze (k : Ast.kernel) (geo : Geom.t) : t =
       rc.current <- [];
       let ctx' = walk_stmt rc ctx s in
       loops :=
-        { gloop_id = id; gloop_var = loop_var; gaccesses = List.rev rc.current }
+        {
+          gloop_id = id;
+          gloop_var = loop_var;
+          gaccesses = List.rev rc.current;
+          gloop = s;
+        }
         :: !loops;
       rc.current <- saved;
       ctx'
@@ -277,6 +284,3 @@ let analyze (k : Ast.kernel) (geo : Geom.t) : t =
   in
   let _ = List.fold_left top ctx0 k.Ast.body in
   { loops = List.rev !loops; straight = List.rev rc.current }
-
-let find_loop t ~loop_id =
-  List.find_opt (fun li -> li.gloop_id = loop_id) t.loops

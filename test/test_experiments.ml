@@ -42,6 +42,54 @@ let test_bftt_is_minimum_of_sweep () =
         (best.Experiments.Runner.total_cycles <= r.Experiments.Runner.total_cycles))
     sweep
 
+(* [Runner.fixed_variant] goes through the gated rewrite CATT shares; on
+   every registry kernel and BFTT candidate at both L1D sizes it must emit
+   what the earlier BFTT-only chain ({!Bftt_reference}) did *)
+let test_fixed_variant_matches_reference () =
+  let cases = ref 0 in
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun (w : Workloads.Workload.t) ->
+          List.iter
+            (fun (name, kernel) ->
+              let geo = Experiments.Runner.geometry_of_kernel w name in
+              List.iter
+                (fun (n, m) ->
+                  incr cases;
+                  let what =
+                    Printf.sprintf "%s %s fixed(%d,%d) at %s"
+                      w.Workloads.Workload.name name n m
+                      (Experiments.Configs.label cfg)
+                  in
+                  match
+                    ( Bftt_reference.fixed_variant cfg kernel geo ~n ~m,
+                      Experiments.Runner.fixed_variant cfg kernel geo ~n ~m )
+                  with
+                  | Ok (k, tlp, carveout), Ok v ->
+                    let got = v.Experiments.Runner.fixed_kernel in
+                    Alcotest.(check bool)
+                      (what ^ ": kernel") true
+                      (Minicuda.Ast.equal_kernel k got);
+                    (* a kernel left untouched is the original value,
+                       so later gates skip it *)
+                    if k == kernel then
+                      Alcotest.(check bool)
+                        (what ^ ": untouched stays physical") true
+                        (got == kernel);
+                    Alcotest.(check (pair int int))
+                      (what ^ ": tlp") tlp v.Experiments.Runner.fixed_tlp;
+                    Alcotest.(check (option int))
+                      (what ^ ": carveout") carveout
+                      v.Experiments.Runner.fixed_carveout
+                  | Error a, Error b -> Alcotest.(check string) what a b
+                  | _ -> Alcotest.failf "%s: only one side configures" what)
+                ((2, 1) :: Experiments.Runner.candidates cfg w))
+            (Workloads.Workload.kernels w))
+        Workloads.Registry.all)
+    [ Experiments.Configs.max_l1d (); Experiments.Configs.small_l1d () ];
+  Alcotest.(check int) "cases" 498 !cases
+
 let test_scheme_labels () =
   Alcotest.(check string) "baseline" "baseline"
     (Experiments.Runner.scheme_label Experiments.Runner.Baseline);
@@ -119,6 +167,8 @@ let tests =
         Alcotest.test_case "memo per config" `Quick test_memo_distinguishes_configs;
         Alcotest.test_case "candidate ordering" `Quick test_candidates_ordering;
         Alcotest.test_case "BFTT minimizes" `Quick test_bftt_is_minimum_of_sweep;
+        Alcotest.test_case "fixed_variant matches BFTT reference" `Quick
+          test_fixed_variant_matches_reference;
         Alcotest.test_case "scheme labels" `Quick test_scheme_labels;
         Alcotest.test_case "trace runs uncached" `Quick test_trace_runs_are_uncached;
         Alcotest.test_case "cache keys distinct per scheme" `Quick

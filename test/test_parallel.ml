@@ -197,8 +197,6 @@ let config_variants base =
         { base with Gpusim.Config.dram_slot_cycles = base.Gpusim.Config.dram_slot_cycles + 1 } );
       ( "alu_latency",
         { base with Gpusim.Config.alu_latency = base.Gpusim.Config.alu_latency + 1 } );
-      ( "lsu_throughput",
-        { base with Gpusim.Config.lsu_throughput = base.Gpusim.Config.lsu_throughput + 1 } );
       ( "issue_width",
         { base with Gpusim.Config.issue_width = base.Gpusim.Config.issue_width + 1 } );
     ]

@@ -371,6 +371,54 @@ let test_gate_accepts_warp_split () =
   Alcotest.(check int) "split checks clean outright" 0
     (List.length (Check.check_kernel (geo ~block:(256, 1) ()) split))
 
+(* loop 0 splits cleanly; loop 1 sits under a thread-divergent guard,
+   where a split's barrier would not be reached by the whole block *)
+let mixed_loops_src =
+  "__global__ void k(float* out) {\n\
+  \  int t = blockIdx.x * blockDim.x + threadIdx.x;\n\
+  \  for (int i = 0; i < 4; i++) {\n\
+  \    out[t] = out[t] + 1.0;\n\
+  \  }\n\
+  \  if (threadIdx.x < 100) {\n\
+  \    for (int j = 0; j < 4; j++) {\n\
+  \      out[t] = out[t] * 2.0;\n\
+  \    }\n\
+  \  }\n\
+   }"
+
+let test_gated_rewrite_chain () =
+  let k = Parser.parse_kernel mixed_loops_src in
+  let g = geo ~block:(256, 1) () in
+  let rewrite ?pad_bytes plan =
+    Transform.gated_rewrite ?pad_bytes g k ~plan ~warps_per_tb:8 ~warp_size:32
+  in
+  let has_pad (r : Transform.gated) =
+    List.exists
+      (fun (s : Ast.stmt) ->
+        match s.Ast.sk with
+        | Ast.Shared_decl (_, name, _) -> name = Transform.dummy_array_name
+        | _ -> false)
+      r.Transform.rewritten.Ast.body
+  in
+  (* the whole plan is refused; loop 0's split survives with the pad *)
+  let r = rewrite ~pad_bytes:1024 [ (0, 2); (1, 2) ] in
+  Alcotest.(check (list (pair int int))) "loop 0 kept" [ (0, 2) ]
+    r.Transform.splits;
+  Alcotest.(check bool) "pad kept" true (r.Transform.pad_kept && has_pad r);
+  Alcotest.(check int) "loop 0 in two phases" 3
+    (Transform.count_top_loops r.Transform.rewritten);
+  (* only the refused loop: the pad alone *)
+  let r = rewrite ~pad_bytes:1024 [ (1, 2) ] in
+  Alcotest.(check (list (pair int int))) "no split" [] r.Transform.splits;
+  Alcotest.(check bool) "pad alone" true (r.Transform.pad_kept && has_pad r);
+  (* no pad to fall back on: the original value itself *)
+  let r = rewrite [ (1, 2) ] in
+  Alcotest.(check bool) "untouched" true (r.Transform.rewritten == k);
+  Alcotest.(check bool) "no pad" false r.Transform.pad_kept;
+  (* factors of 1 split nothing, so nothing is gated *)
+  Alcotest.(check bool) "n = 1 is the original" true
+    ((rewrite [ (0, 1); (1, 1) ]).Transform.rewritten == k)
+
 let test_driver_gates_transform () =
   (* end-to-end: Driver.analyze re-checks its own output and would error
      out rather than ship a rewrite that mints a diagnostic *)
@@ -521,6 +569,8 @@ let tests =
           test_gate_keeps_preexisting_diags;
         Alcotest.test_case "warp split proved safe" `Quick
           test_gate_accepts_warp_split;
+        Alcotest.test_case "gated rewrite degrades per loop" `Quick
+          test_gated_rewrite_chain;
         Alcotest.test_case "driver gates its output" `Quick
           test_driver_gates_transform;
         Alcotest.test_case "all workload variants clean" `Quick

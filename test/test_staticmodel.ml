@@ -232,19 +232,36 @@ let test_footprint_dedupe_no_overthrottle () =
   Alcotest.(check bool) "double-counted footprint over-throttles" true
     d2.Throttle.throttled
 
+(* catt-sa and profile-all take their loop reports from the Gaccess walk:
+   on every registry launch they must be Analysis's own *)
+let test_gaccess_reports_match_analysis () =
+  let launches = ref 0 in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      List.iter
+        (fun (l : Workloads.Workload.kernel_launch) ->
+          incr launches;
+          let kernel = Workloads.Workload.find_kernel w l.kernel_name in
+          let g = Workloads.Workload.geometry_of l in
+          let expected = Analysis.analyze_kernel kernel g in
+          let got =
+            List.map Analysis.report_of_gaccess
+              (Gaccess.analyze kernel g).Gaccess.loops
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s" w.Workloads.Workload.name l.kernel_name)
+            true (expected = got))
+        w.Workloads.Workload.launches)
+    Workloads.Registry.all;
+  Alcotest.(check int) "launches" 55 !launches
+
 (* ------------------------- of_loop_sa ------------------------------ *)
 
 let sa_footprints src g ~tbs =
-  let kernel = parse src in
-  let reports = Analysis.analyze_kernel kernel g in
-  let sa = Gaccess.analyze kernel g in
   List.map
-    (fun (r : Analysis.loop_report) ->
-      Footprint.of_loop_sa ~line_bytes:128 ~warp_size:32 ~block_x:g.Analysis.block_x
-        ~tbs
-        (Gaccess.find_loop sa ~loop_id:r.Analysis.loop_id)
-        r)
-    reports
+    (Footprint.of_loop_sa ~line_bytes:128 ~warp_size:32
+       ~block_x:g.Analysis.block_x ~tbs)
+    (Gaccess.analyze (parse src) g).Gaccess.loops
 
 let test_of_loop_sa_atax () =
   match sa_footprints atax_src (geo ()) ~tbs:2 with
@@ -275,19 +292,6 @@ let test_of_loop_sa_mod_bounded () =
     Alcotest.(check int) "Eq. 8' at 8 warps" ((2 * 8) + 2)
       (Footprint.size_req_lines fp ~concurrent_warps:8)
   | fps -> Alcotest.failf "expected 1 loop, found %d" (List.length fps)
-
-(* fallback: without a staticmodel report the constructor is plain Eq. 8 *)
-let test_of_loop_sa_fallback () =
-  let kernel = parse atax_src in
-  let report = List.hd (Analysis.analyze_kernel kernel (geo ())) in
-  let fp_sa =
-    Footprint.of_loop_sa ~line_bytes:128 ~warp_size:32 ~block_x:256 ~tbs:2 None
-      report
-  in
-  let fp = Footprint.of_loop ~line_bytes:128 ~warp_size:32 ~block_x:256 report in
-  Alcotest.(check int) "same per-warp count" fp.Footprint.req_per_warp
-    fp_sa.Footprint.req_per_warp;
-  Alcotest.(check int) "no shared tier" 0 fp_sa.Footprint.shared_lines
 
 (* ------------------------ QCheck soundness ------------------------- *)
 
@@ -480,6 +484,8 @@ let tests =
         Alcotest.test_case "ATAX accesses with ranges" `Quick test_gaccess_atax;
         Alcotest.test_case "mod keeps a finite range" `Quick
           test_gaccess_mod_bounded;
+        Alcotest.test_case "registry reports equal Analysis" `Quick
+          test_gaccess_reports_match_analysis;
       ] );
     ( "staticmodel.reuse",
       [
@@ -495,8 +501,6 @@ let tests =
         Alcotest.test_case "catt-sa sharpens ATAX" `Quick test_of_loop_sa_atax;
         Alcotest.test_case "catt-sa bounds a mod index" `Quick
           test_of_loop_sa_mod_bounded;
-        Alcotest.test_case "no report falls back to Eq. 8" `Quick
-          test_of_loop_sa_fallback;
         Alcotest.test_case "catt-sa covers measured microbench lines" `Slow
           test_sa_footprint_covers_measured_lines;
       ] );
