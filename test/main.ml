@@ -6,4 +6,4 @@ let () =
    @ Test_golden.tests @ Test_parallel.tests @ Test_sanitize.tests
    @ Test_serve.tests @ Test_staticmodel.tests @ Test_alloc.tests
    @ Test_reuse.tests @ Test_bench.tests @ Test_decode.tests
-   @ Test_memory_path.tests)
+   @ Test_memory_path.tests @ Test_sched.tests)
