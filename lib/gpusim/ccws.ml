@@ -33,6 +33,7 @@ type t = {
   mutable n_raised : int;
       (* at least the number of slots above the base score (exact unless
          a negative gain pulls one below it): [tick] skips its walk at 0 *)
+  mutable version : int;  (* bumped whenever [on_miss] or [tick] moves a score *)
   cand_slot : int array;  (* ranking scratch, in push order *)
   cand_id : int array;
   mutable n_cand : int;
@@ -56,6 +57,7 @@ let create ?(vta_entries = 16) ?(gain = 32.) ?(decay = 0.999) ~max_warps () =
     free = Array.init max_warps (fun i -> max_warps - 1 - i);
     n_free = max_warps;
     n_raised = 0;
+    version = 0;
     cand_slot = Array.make max_warps 0;
     cand_id = Array.make max_warps 0;
     n_cand = 0;
@@ -89,7 +91,8 @@ let on_miss t ~slot ~line =
     let s = t.score.(slot) in
     let s' = s +. t.gain in
     if s <= t.base_score && s' > t.base_score then t.n_raised <- t.n_raised + 1;
-    t.score.(slot) <- s'
+    t.score.(slot) <- s';
+    t.version <- t.version + 1
   end;
   t.vta.(i) <- line;
   lost
@@ -99,6 +102,7 @@ let on_miss t ~slot ~line =
     floats, without the polymorphic compare. *)
 let tick t =
   if t.n_raised > 0 then begin
+    t.version <- t.version + 1;
     let base = t.base_score and decay = t.decay in
     let score = t.score in
     for i = 0 to Array.length score - 1 do
@@ -115,6 +119,8 @@ let tick t =
   end
 
 let score t ~slot = t.score.(slot)
+
+let version t = t.version
 
 (* --- ranking ----------------------------------------------------------- *)
 

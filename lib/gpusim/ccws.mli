@@ -37,6 +37,12 @@ val tick : t -> unit
 
 val score : t -> slot:int -> float
 
+val version : t -> int
+(** Moves whenever {!on_miss} raises a score or {!tick} decays one, so a
+    ranking taken at an equal version (over the same candidates) would
+    admit the same warps.  {!release} resets a score without moving it:
+    its warp's TB is retiring. *)
+
 (** {2 Ranking}
 
     One scheduling decision: clear, push the live warps oldest first,

@@ -284,6 +284,7 @@ let bypass_flags l =
 (* process-wide launch accounting (always on; see Obs.Metrics) *)
 let m_launches = Obs.Metrics.counter "gpu.launches"
 let m_sim_cycles = Obs.Metrics.counter "gpu.sim_cycles"
+let m_pool_fills = Obs.Metrics.counter "gpu.pool_fills"
 
 (* The one place a launch's [runtime_throttle] becomes an SM policy. *)
 let policy dev l (job : Sm.job) ~max_tbs ~l1_bytes l1 =
@@ -511,6 +512,8 @@ let launch ?args_base dev l =
   | None -> ());
   Obs.Metrics.incr m_launches;
   Obs.Metrics.add m_sim_cycles stats.Stats.cycles;
+  Obs.Metrics.add m_pool_fills
+    (Array.fold_left (fun acc sm -> acc + sm.Sm.pool_gen - 1) 0 k.sms);
   Option.iter
     (fun s -> Obs.Span.add_attr s "cycles" (Obs.Span.Int stats.Stats.cycles))
     launch_span;

@@ -47,6 +47,7 @@ type t = {
       (* top_k slots: selected warp ages in rank order, [n_flagged] live *)
   flagged_score : int array;  (* their scores, for the selection *)
   mutable n_flagged : int;
+  mutable version : int;  (* re-evaluations so far *)
 }
 
 let create ?(warmup = 512) ?(epoch = 2048) ?(top_k = 2) ?(threshold = 8)
@@ -68,6 +69,7 @@ let create ?(warmup = 512) ?(epoch = 2048) ?(top_k = 2) ?(threshold = 8)
     flagged = Array.make (max 0 top_k) 0;
     flagged_score = Array.make (max 0 top_k) 0;
     n_flagged = 0;
+    version = 0;
   }
 
 let mode t = t.mode
@@ -140,6 +142,7 @@ let reevaluate t =
      the top_k warps by (score desc, age asc), score >= threshold, then
      halved (decay, so sustained interference dominates); a retired
      warp halved below the threshold is dropped after the walk *)
+  t.version <- t.version + 1;
   t.n_flagged <- 0;
   let dead = ref [] in
   Hashtbl.iter
@@ -180,3 +183,5 @@ let on_access t ~warp_id ~line =
 
 let throttle_excluded t ~warp_id =
   t.mode = Throttle_mode && is_flagged t warp_id
+
+let version t = t.version

@@ -50,6 +50,11 @@ val throttle_excluded : t -> warp_id:int -> bool
 (** In throttle mode, whether [warp_id] is flagged and must be excluded
     from the scheduler pool (the barrier-drain rule still overrides). *)
 
+val version : t -> int
+(** Moves at each re-evaluation, the only place the mode and the flagged
+    set change, so {!throttle_excluded} answers as before at an equal
+    version. *)
+
 val mode : t -> mode
 val flagged : t -> int list
 (** Currently selected warp ages (diagnostics/tests). *)

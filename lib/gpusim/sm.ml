@@ -162,17 +162,18 @@ type t = {
   mutable next_age : int;
   mutable tbs_completed : int;
   dummy_warp : warp;  (* sentinel: finished, never issuable *)
-  mutable pool : warp array;  (* scratch: the schedulable pool *)
+  mutable pool : warp array;  (* the schedulable pool, kept across picks *)
   mutable n_pool : int;
-  mutable pool_gen : int;
+  mutable pool_gen : int;  (* one more than the pool fills so far *)
+  mutable pool_stale : bool;
+      (* a TB launched, a warp exited or a warp arrived at a barrier since
+         the last fill (see [refill_pool]) *)
+  mutable pool_version : int;  (* the policy's [version ()] at the last fill *)
   x_lanes : int array;  (* scratch: per-lane line indices *)
   x_lines : int array;  (* scratch: coalesced line indices *)
   x_opa : float array;  (* scratch: a staged block-index operand *)
   x_opb : float array;
   mutable parked : int;  (* resident warps waiting at a barrier *)
-  mutable x_pool_fresh : bool;
-      (* the scratch pool was filled by [next_event] and no simulation
-         state has changed since: the first pick of the step may reuse it *)
   mutable x_next : int;
       (* the next event found by a failed pick's full scan of the
          resident warps, or -1: with no pool filter, [next_event] answers
@@ -211,6 +212,9 @@ and policy = {
   pool_filter : (t -> unit) option;
       (** fills the scheduler pool ({!pool_add}, age order); [None]
           schedules every resident warp *)
+  version : unit -> int;
+      (** the policy side of the pool filter's inputs: changes whenever a
+          decision the filter reads changes, and the pool is refilled *)
 }
 
 let dummy_tb =
@@ -258,6 +262,7 @@ let no_policy =
     issue = (fun () -> ());
     step = (fun _ -> ());
     pool_filter = None;
+    version = (fun () -> 0);
   }
 
 (* Co-resident kernel contexts on the same physical SM
@@ -283,12 +288,13 @@ let create job id ~l1 ~policy =
     pool = Array.make 16 dw;
     n_pool = 0;
     pool_gen = 1;
+    pool_stale = true;
+    pool_version = 0;
     x_lanes = Array.make ws 0;
     x_lines = Array.make ws 0;
     x_opa = Array.make ws 0.;
     x_opb = Array.make ws 0.;
     parked = 0;
-    x_pool_fresh = false;
     x_next = -1;
     x_skip = 0;
     x_skip_min = max_int;
@@ -363,6 +369,7 @@ let launch_tb sm tb_id =
   tb.tb_warps <- new_warps;
   List.iter (fun w -> push_warp sm w) new_warps;
   sm.x_next <- -1;
+  sm.pool_stale <- true;
   sm.resident_tbs <- sm.resident_tbs + 1;
   job.stats.Stats.tbs_launched <- job.stats.Stats.tbs_launched + 1;
   if sm.n_warps > job.stats.Stats.max_resident_warps then
@@ -718,6 +725,7 @@ let retire_tb sm tb =
 let exec_exit sm warp =
   warp.finished <- true;
   warp.ready_at <- max_int;
+  sm.pool_stale <- true;
   let tb = warp.tb in
   tb.unfinished <- tb.unfinished - 1;
   if tb.unfinished = 0 then retire_tb sm tb else check_barrier_release sm tb
@@ -1114,6 +1122,7 @@ let exec_instr sm warp =
   | Decode.Bar ->
     let tb = warp.tb in
     tb.arrived <- tb.arrived + 1;
+    sm.pool_stale <- true;
     sm.job.stats.Stats.barriers <- sm.job.stats.Stats.barriers + 1;
     if tb.arrived >= tb.unfinished then
       (* the last to arrive releases the parked ones and goes on after
@@ -1170,22 +1179,25 @@ let pool_add sm w =
   sm.n_pool <- sm.n_pool + 1;
   w.pool_stamp <- sm.pool_gen
 
-(* A fresh pool generation, filled by the policy's filter in warp (age)
-   order, exactly as the list-based filters produced. *)
-let fill_pool sm fill =
-  sm.pool_gen <- sm.pool_gen + 1;
-  sm.n_pool <- 0;
-  fill sm
-
-(* The pool filter reads only state that cannot change between a
-   [next_event] query and the first pick that follows it (warp liveness,
-   barrier flags, controller caps — all mutated only by executing an
-   instruction on this SM).  [next_event] therefore marks its fill as
-   fresh and the first pick reuses it; any later pick in the same cycle
-   (issue_width > 1) refills, exactly as the per-pick filters of the
-   list-based scheduler did. *)
-let pool_for_pick sm fill =
-  if sm.x_pool_fresh then sm.x_pool_fresh <- false else fill_pool sm fill
+(* The pool persists across picks and steps and is refilled, as a fresh
+   generation in warp (age) order, only when an input of the filter has
+   changed since the last fill.  On the SM side the filters read the
+   resident warps and their order, each warp's [finished] flag and its
+   thread block's barrier count ([draining]); those change only at a TB
+   launch, a warp's exit and a barrier arrival, which set [pool_stale]
+   (TB retirement and barrier release run only inside the last two).  On
+   the policy side they read one decision each (DYNCTA's cap, CCWS's
+   scores, CIAO's flagged set), which moves [version ()].  So a kept pool
+   is always the one a fill would build now. *)
+let refill_pool sm fill =
+  let v = sm.policy.version () in
+  if sm.pool_stale || v <> sm.pool_version then begin
+    sm.pool_stale <- false;
+    sm.pool_version <- v;
+    sm.pool_gen <- sm.pool_gen + 1;
+    sm.n_pool <- 0;
+    fill sm
+  end
 
 (* [min a b] for ready cycles (non-negative, at most [max_int]) without a
    branch: the difference cannot overflow, and its sign bit (bit 62 of
@@ -1252,7 +1264,7 @@ let pick_gto sm =
       gto_scan sm sm.warps sm.n_warps sm.now sm.x_skip sm.x_skip_min
     else gto_scan sm sm.warps sm.n_warps sm.now 0 max_int
   | Some fill ->
-    pool_for_pick sm fill;
+    refill_pool sm fill;
     let last = sm.last_issued in
     if issuable last sm && last.pool_stamp = sm.pool_gen then last
     else pool_scan sm sm.pool sm.n_pool 0
@@ -1271,7 +1283,7 @@ let pick_lrr sm =
   match sm.policy.pool_filter with
   | None -> if sm.n_warps = 0 then sm.dummy_warp else lrr_scan sm sm.warps sm.n_warps 0
   | Some fill ->
-    pool_for_pick sm fill;
+    refill_pool sm fill;
     if sm.n_pool = 0 then sm.dummy_warp else lrr_scan sm sm.pool sm.n_pool 0
 
 (** The picked warp, or the SM's dummy sentinel when nothing can issue. *)
@@ -1293,10 +1305,6 @@ let rec min_ready (arr : warp array) n now i acc =
     now, not in the past); [max_int] when every resident warp is finished
     or parked at a barrier. *)
 let next_event sm =
-  (* a dynamic cap must not hide the only runnable warps forever: capped
-     warps still count as events (the controller raises the cap on epoch
-     edges, which only happen when the SM makes progress, so the pool is
-     taken from the cap but events consider everyone) *)
   let m =
     match sm.policy.pool_filter with
     | None ->
@@ -1315,8 +1323,13 @@ let next_event sm =
            there, unchanged, and ready by now *)
         sm.x_skip_min
     | Some fill ->
-      fill_pool sm fill;
-      sm.x_pool_fresh <- true;
+      (* only the pool's warps are events: a warp outside it cannot issue
+         until a refill admits it.  Every filter keeps a warp that can
+         progress while any is live (DYNCTA whole TBs, CCWS its top-ranked
+         warp, SWL the oldest, CIAO everyone as a fallback), and CCWS,
+         SWL and CIAO keep a draining TB whole, so a barrier in the pool
+         can complete. *)
+      refill_pool sm fill;
       min_ready sm.pool sm.n_pool sm.now 0 max_int
   in
   if m = max_int then max_int else imax m sm.now
@@ -1470,6 +1483,7 @@ let dyncta d =
     step =
       (fun sm -> Dynamic_throttle.on_cycle d ~now:sm.now ~max_cap:sm.resident_tbs);
     pool_filter = Some (dyncta_pool d);
+    version = (fun () -> Dynamic_throttle.cap d);
   }
 
 (* CCWS pool: rank the live warps, pushed oldest first so equal scores
@@ -1500,6 +1514,7 @@ let ccws c =
     miss = (fun w line -> ignore (Ccws.on_miss c ~slot:w.slot ~line));
     step = (fun _ -> Ccws.tick c);
     pool_filter = Some (ccws_pool c);
+    version = (fun () -> Ccws.version c);
   }
 
 (** DAWS-like proactive footprint predictor.  A warp's loop is its
@@ -1568,6 +1583,7 @@ let ciao ci l1 =
         if victim <> -1 then
           Interference.on_evict ci ~filler:w.age ~victim_line:victim);
     pool_filter = Some (ciao_pool ci);
+    version = (fun () -> Interference.version ci);
   }
 
 (** ATA-Cache: a missing line earns data storage only on proven reuse

@@ -107,6 +107,46 @@ let check_pins what run pins =
       Alcotest.(check string) (what ^ " " ^ label ^ " memory") memory got_memory)
     policies pins
 
+(* Pool refills per issued instruction on ATAX at max L1D, read from
+   the [gpu.pool_fills] counter.  These are counts, not timings: a pool
+   refilled at every pick reads 1.4 to 1.8 under every policy, while a
+   pool kept until an input of its filter changes reads about 0.005
+   under DYNCTA, 0.0001 under SWL(4), 0.001 under CIAO and 0.47 under
+   CCWS, whose raised scores decay, and so move, at every issue step. *)
+let test_refills () =
+  let cfg = Experiments.Configs.max_l1d () in
+  let w = Workloads.Registry.find "ATAX" in
+  let fills = Obs.Metrics.counter "gpu.pool_fills" in
+  List.iter
+    (fun (scheme, limit) ->
+      let label = Experiments.Runner.scheme_label scheme in
+      let before = Obs.Metrics.value fills in
+      match
+        Experiments.Runner.exec_uncached
+          (Experiments.Runner.Request.make cfg w scheme)
+      with
+      | Error msg -> Alcotest.failf "ATAX %s: %s" label msg
+      | Ok r ->
+        let issued =
+          List.fold_left
+            (fun acc (ks : Experiments.Runner.kernel_stats) ->
+              acc + ks.Experiments.Runner.stats.Gpusim.Stats.issued_instructions)
+            0 r.Experiments.Runner.kernels
+        in
+        let per_instr =
+          float_of_int (Obs.Metrics.value fills - before) /. float_of_int issued
+        in
+        if per_instr > limit then
+          Alcotest.failf "ATAX %s refills its pool %.4f times per issued \
+                          instruction (limit %.2f)"
+            label per_instr limit)
+    [
+      (Experiments.Runner.Dynamic, 0.01);
+      (Experiments.Runner.Swl 4, 0.01);
+      (Experiments.Runner.Ciao, 0.01);
+      (Experiments.Runner.CcwsSched, 0.6);
+    ]
+
 let tests =
   [
     ( "gpusim.sched",
@@ -115,5 +155,7 @@ let tests =
             check_pins "ATAX" atax atax_pins);
         Alcotest.test_case "LRR pins, barrier kernel" `Quick (fun () ->
             check_pins "barrier" barrier barrier_pins);
+        Alcotest.test_case "pool refills per issued instruction" `Quick
+          test_refills;
       ] );
   ]
