@@ -131,7 +131,9 @@ let largest_divisor_leq value cap =
     checks is exactly what runs. *)
 type fixed_variant = {
   fixed_kernel : Minicuda.Ast.kernel;
-  fixed_tlp : int * int;  (** requested (warps per TB, TBs per SM) *)
+  fixed_tlp : int * int;
+      (** (warps per TB, TBs per SM) of [fixed_kernel]: the whole TB's
+          warps when the gate kept no split *)
   fixed_carveout : int option;
 }
 
@@ -174,10 +176,11 @@ let fixed_variant cfg kernel geo ~n ~m =
       | Some (c, _) when g.Catt.Transform.pad_kept -> (Some c, tbs - m')
       | _ -> (None, tbs)
     in
+    let warps = if g.Catt.Transform.splits = [] then warps_per_tb else warps_per_tb / n' in
     Ok
       {
         fixed_kernel = g.Catt.Transform.rewritten;
-        fixed_tlp = (warps_per_tb / n', tbs');
+        fixed_tlp = (warps, tbs');
         fixed_carveout = carveout;
       }
 
@@ -393,8 +396,9 @@ module Json = Gpu_util.Json
 
 (* bump when the layout below changes — or when the transformation a scheme
    applies changes, since cached cycles would then describe a kernel that is
-   no longer produced (v2: sanitizer-gated BFTT splitting) *)
-let cache_format_version = 2
+   no longer produced (v2: sanitizer-gated BFTT splitting; v3: a BFTT
+   kernel whose splits the gate refused reports its whole TB's warps) *)
+let cache_format_version = 3
 
 let kernel_stats_to_json (ks : kernel_stats) =
   Json.Obj

@@ -4,7 +4,10 @@
    afterwards under a second gate.  It survives only as the reference for
    the test in [test_experiments.ml] that requires
    {!Experiments.Runner.fixed_variant} to emit the same kernel, TLP and
-   carveout on every registry kernel and BFTT candidate. *)
+   carveout on every registry kernel and BFTT candidate.  One departure
+   from the chain as it stood: a kernel that keeps no warp split reports
+   its whole TB's warps, not the requested [warps_per_tb / n], as the
+   runner now does. *)
 
 module Ast = Minicuda.Ast
 module Transform = Catt.Transform
@@ -86,6 +89,12 @@ let fixed_variant cfg kernel (geo : Catt.Analysis.geometry) ~n ~m =
         ~warp_size:cfg.Gpusim.Config.warp_size
         ~one_dim_block:(geo.Catt.Analysis.block_y = 1)
     in
+    (* the chain returns the kernel itself when it keeps no split *)
+    let warps =
+      if k != kernel && Transform.count_top_loops kernel > 0 then
+        warps_per_tb / n'
+      else warps_per_tb
+    in
     let k, carveout, tbs' =
       if m' > 0 then
         match
@@ -104,4 +113,4 @@ let fixed_variant cfg kernel (geo : Catt.Analysis.geometry) ~n ~m =
         | None -> (k, None, tbs)
       else (k, None, tbs)
     in
-    Ok (k, (warps_per_tb / n', tbs'), carveout)
+    Ok (k, (warps, tbs'), carveout)
