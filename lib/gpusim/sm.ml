@@ -13,8 +13,8 @@
     through one {!policy} record of hooks per SM, built once per launch
     ([Gpu] maps the launch's [runtime_throttle] to one of the
     constructors at the end of this file).  The baseline is
-    {!no_policy}: no-op hooks and no pool filter, so the scheduler scans
-    the resident warps directly.
+    {!no_policy}: no-op hooks, a constant version and no pool filter, so
+    the scheduler scans the resident warps directly.
 
     Execution: {!exec_instr} runs the launch's decoded program
     ([job.code], {!Decode.t}), built once per launch by [Gpu]: it
@@ -43,7 +43,12 @@
     parked warps, and a thread block drains a barrier iff [arrived > 0].
     With no pool filter, the resident-warp scan skips a prefix it has
     seen to be unready, and a pick that finds nothing leaves the SM's
-    next event behind for {!next_event} (see [gto_scan]).
+    next event behind for {!next_event} (see [gto_scan]).  With one
+    (DYNCTA, CCWS, SWL, CIAO), picks and {!next_event} scan the SM's
+    pool, which is kept across picks and issue steps and refilled only
+    when an input of the filter has changed: a TB launch, a warp's exit
+    or a barrier arrival ([pool_stale]), or a new value of the policy's
+    [version] hook (see [refill_pool]).
 
     Data layout: stepping allocates nothing per instruction (TB launch
     and policy epochs do; [test/test_alloc.ml] counts it).  A launch
@@ -52,7 +57,7 @@
     flat array with stable compaction on TB retirement (oldest first,
     as the GTO tie-break needs); each warp's SIMT mask stack is a flat
     int array; the scheduler pool, lane and coalesced line indices and
-    staged block indices go through preallocated per-SM scratch buffers;
+    staged block indices live in preallocated per-SM buffers;
     builtins run lane-wise inside [Minicuda.Builtins], so no per-lane
     float ever crosses a function boundary boxed.  Policy hooks follow
     the same two rules: their closures are built with the record, never
@@ -189,8 +194,8 @@ type t = {
 (** A runtime policy: the hooks the SM calls at its decision points.  One
     record per SM per launch; each hook closes over its policy's own
     state, so a call allocates nothing.  {!no_policy} is the baseline:
-    every hook a no-op and no pool filter, which keeps the direct-scan
-    scheduler. *)
+    every hook a no-op, a constant version and no pool filter, which
+    keeps the direct-scan scheduler. *)
 and policy = {
   launch_warp : unit -> int;  (** a warp is launching: its state slot, or -1 *)
   retire_warp : warp -> unit;  (** the warp's thread block completed *)
