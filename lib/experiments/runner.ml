@@ -176,7 +176,9 @@ let fixed_variant cfg kernel geo ~n ~m =
       | Some (c, _) when g.Catt.Transform.pad_kept -> (Some c, tbs - m')
       | _ -> (None, tbs)
     in
-    let warps = if g.Catt.Transform.splits = [] then warps_per_tb else warps_per_tb / n' in
+    let warps =
+      if g.Catt.Transform.splits = [] then warps_per_tb else warps_per_tb / n'
+    in
     Ok
       {
         fixed_kernel = g.Catt.Transform.rewritten;

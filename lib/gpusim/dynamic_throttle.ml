@@ -6,10 +6,9 @@
     This is an epoch-based hill climber on per-SM IPC, in the spirit of
     DYNCTA's "neither more nor less" controller: each epoch it moves the
     thread-block cap (the scheduler draws warps from the first [cap]
-    resident TBs) in the current direction and reverses when IPC
-    drops.  It is
-    used by the ablation benches to reproduce the paper's static-vs-dynamic
-    comparison. *)
+    resident TBs) in the current direction and reverses when IPC drops.
+    It is used by the ablation benches to reproduce the paper's
+    static-vs-dynamic comparison. *)
 
 type t = {
   epoch_cycles : int;
