@@ -78,7 +78,7 @@ let analyses path (gx, gy) (bx, by) onchip sms jobs =
 let analyze_cmd =
   let run path grid block onchip sms jobs =
     let cfg, results = analyses path grid block onchip sms jobs in
-    List.iter (fun (_, t) -> Catt.Report.print cfg t) results
+    List.iter (fun (_, t) -> print_string (Catt.Explain.render cfg t)) results
   in
   Cmd.v (Cmd.info "analyze" ~doc:"print the per-loop contention analysis")
     Term.(

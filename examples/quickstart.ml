@@ -49,7 +49,7 @@ let () =
     | Ok t -> t
     | Error msg -> failwith msg
   in
-  Catt.Report.print cfg t;
+  print_string (Catt.Explain.render cfg t);
   (* 3. the transformed source (paper Fig. 4) *)
   print_endline "\n--- throttled source ---";
   print_endline (Minicuda.Pretty.kernel t.Catt.Driver.transformed);

@@ -11,10 +11,11 @@ type t = {
   occupancy : Occupancy.t;
   loops : loop_decision list;
   transformed : Ast.kernel;
+  rewrite : Transform.gated;
   tb_throttle_plan : (int * int) option;
   final_carveout : int;
   baseline_tlp : int * int;
-  resident_tbs : int;  (* TBs per SM after any TB-level throttling *)
+  resident_tbs : int;
   gate_degraded : bool;
   analysis_seconds : float;
 }
@@ -119,15 +120,15 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
       decide_all ~line_bytes ~l1d_bytes:occ.Occupancy.l1d_bytes ~warps_per_tb
         ~tbs footprints
     in
-    let loops, tb_throttle_plan, final_carveout, resident_tbs =
+    let loops, tb_plan, final_carveout =
       let m = max_m initial in
-      if m = 0 then (initial, None, occ.Occupancy.smem_carveout, tbs)
+      if m = 0 then (initial, None, occ.Occupancy.smem_carveout)
       else
         match
           escalate cfg ~tb_threads ~num_regs ~shared_bytes ~line_bytes
             ~warps_per_tb ~tbs footprints ~first_m:m
         with
-        | Some (loops, plan, target) -> (loops, Some plan, fst plan, target)
+        | Some (loops, plan, target) -> (loops, Some (plan, target), fst plan)
         | None ->
           (* TB throttling cannot resolve the contention: fall back to the
              strongest warp-level throttling and mark the rest unresolved *)
@@ -149,8 +150,9 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
                 else l)
               initial
           in
-          (demoted, None, occ.Occupancy.smem_carveout, tbs)
+          (demoted, None, occ.Occupancy.smem_carveout)
     in
+    let tb_throttle_plan = Option.map fst tb_plan in
     let plan =
       List.filter_map
         (fun l ->
@@ -162,46 +164,34 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
         loops
     in
     (* The sanitizer has the last word: [Transform.gated_rewrite] keeps
-       what it accepts of the plan and the pad (the chain BFTT runs too).
-       The decisions of every dropped loop are demoted to
-       unresolved-at-full-TLP below so Table 3 reports what runs. *)
-    let g =
+       what it accepts of the plan and the pad (the chain BFTT runs too),
+       and its record, not the decisions, says what runs. *)
+    let rewrite =
       Transform.gated_rewrite
-        ?pad_bytes:(Option.map snd tb_throttle_plan)
+        ?pad:
+          (Option.map
+             (fun ((_, pad_bytes), pad_tbs) -> { Transform.pad_bytes; pad_tbs })
+             tb_plan)
         geometry kernel ~plan ~warps_per_tb ~warp_size
     in
     let gate_failed =
-      g.Transform.splits <> plan
-      || (tb_throttle_plan <> None && not g.Transform.pad_kept)
+      rewrite.Transform.splits <> plan
+      || (tb_throttle_plan <> None && rewrite.Transform.pad = None)
     in
-    let plan = g.Transform.splits and transformed = g.Transform.rewritten in
+    (* Eq. 9's n, m, verdict and trials stand as it made them; a
+       decision's active TLP is what runs, read from the record *)
     let loops =
-      if not gate_failed then loops
-      else
-        List.map
-          (fun l ->
-            let loop_id = l.footprint.Footprint.loop.Analysis.loop_id in
-            let d = l.decision in
-            if
-              d.Throttle.throttled && d.Throttle.n > 1
-              && not (List.mem_assoc loop_id plan)
-            then
-              (* the warp split was refused, but a TB-level pad (if any)
-                 still throttles this loop; without the split the footprint
-                 is no longer proven to fit, so it is unresolved *)
-              {
-                l with
-                decision =
-                  {
-                    d with
-                    Throttle.n = 1;
-                    throttled = tb_throttle_plan <> None || d.Throttle.m > 0;
-                    resolved = false;
-                    active_warps_per_tb = warps_per_tb;
-                  };
-              }
-            else l)
-          loops
+      List.map
+        (fun l ->
+          let active_warps_per_tb, active_tbs =
+            Transform.tlp
+              ~loop_id:l.footprint.Footprint.loop.Analysis.loop_id rewrite occ
+          in
+          {
+            l with
+            decision = { l.decision with Throttle.active_warps_per_tb; active_tbs };
+          })
+        loops
     in
     Option.iter
       (fun s ->
@@ -217,26 +207,14 @@ let analyze ?(model = `Eq8) (cfg : Gpusim.Config.t) (kernel : Ast.kernel)
         geometry;
         occupancy = occ;
         loops;
-        transformed;
+        transformed = rewrite.Transform.rewritten;
+        rewrite;
         tb_throttle_plan;
         final_carveout;
         baseline_tlp = (warps_per_tb, tbs);
-        resident_tbs;
+        resident_tbs = snd (Transform.tlp rewrite occ);
         gate_degraded = gate_failed;
         analysis_seconds = Unix.gettimeofday () -. started;
       }
 
-let selected_tlp t ~loop_id =
-  match
-    List.find_opt
-      (fun l -> l.footprint.Footprint.loop.Analysis.loop_id = loop_id)
-      t.loops
-  with
-  | None -> t.baseline_tlp
-  | Some l ->
-    let d = l.decision in
-    if d.Throttle.throttled then
-      (d.Throttle.active_warps_per_tb, min d.Throttle.active_tbs t.resident_tbs)
-    else
-      let warps, _ = t.baseline_tlp in
-      (warps, t.resident_tbs)
+let selected_tlp ?loop_id t = Transform.tlp ?loop_id t.rewrite t.occupancy

@@ -13,8 +13,9 @@
       ({!Transform.gated_rewrite}).
 
     The result carries everything the experiment harness needs: per-loop
-    decisions (Table 3), the transformed source, the carveout to launch
-    with, and the analysis wall-clock time (Section 5.1.4). *)
+    decisions as Eq. 9 made them, the gate's record of what runs (from
+    which every TLP report, Table 3's included, is read), the carveout to
+    launch with, and the analysis wall-clock time (Section 5.1.4). *)
 
 type loop_decision = {
   footprint : Footprint.loop_footprint;
@@ -26,11 +27,16 @@ type t = {
   geometry : Analysis.geometry;
   occupancy : Occupancy.t;
   loops : loop_decision list;
-  transformed : Minicuda.Ast.kernel;
-  tb_throttle_plan : (int * int) option;  (** (carveout, dummy bytes) *)
+      (** Eq. 9's decisions: [n], [m], the verdict and the trials as it
+          made them; [active_warps_per_tb] and [active_tbs] are what
+          [rewrite] runs ({!selected_tlp}) *)
+  transformed : Minicuda.Ast.kernel;  (** [rewrite.rewritten] *)
+  rewrite : Transform.gated;  (** what the gate let run *)
+  tb_throttle_plan : (int * int) option;
+      (** (carveout, dummy bytes) Eq. 9 asked for *)
   final_carveout : int;  (** pass as [smem_carveout] at launch *)
   baseline_tlp : int * int;  (** (warps per TB, TBs per SM) *)
-  resident_tbs : int;  (** TBs per SM after any TB-level throttling *)
+  resident_tbs : int;  (** TBs per SM [rewrite] runs at *)
   gate_degraded : bool;
       (** the sanitizer refused part of the plan or the pad, and
           {!Transform.gated_rewrite} fell back (whole plan → per-loop →
@@ -51,6 +57,7 @@ val analyze :
     scheme [catt-sa]), whose one {!Staticmodel.Gaccess} walk also yields
     the loop reports; the Eq. 9 search and the transform are shared. *)
 
-val selected_tlp : t -> loop_id:int -> int * int
-(** The Table 3 entry for one loop: [(active warps per TB, concurrent TBs)]
-    — the baseline TLP when the loop was not throttled. *)
+val selected_tlp : ?loop_id:int -> t -> int * int
+(** {!Transform.tlp} of [rewrite]: with [loop_id], the Table 3 entry for
+    that loop, [(active warps per TB, concurrent TBs)]; without, the
+    kernel's. *)

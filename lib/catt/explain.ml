@@ -9,8 +9,7 @@ module Json = Gpu_util.Json
 
 let explain_format_version = 1
 
-let access_json (s : Footprint.access_summary) =
-  let a = s.Footprint.access in
+let index_and_kind (a : Analysis.access) =
   let index =
     match a.Analysis.index with
     | Affine.Affine aff -> Affine.to_string aff
@@ -23,6 +22,11 @@ let access_json (s : Footprint.access_summary) =
     | false, true -> "st"
     | false, false -> "?"
   in
+  (index, kind)
+
+let access_json (s : Footprint.access_summary) =
+  let a = s.Footprint.access in
+  let index, kind = index_and_kind a in
   Json.Obj
     [
       ("array", Json.String a.Analysis.array);
@@ -145,6 +149,33 @@ let to_json (cfg : Gpusim.Config.t) (t : Driver.t) =
 
 let kb bytes = Printf.sprintf "%.1f KB" (float_of_int bytes /. 1024.)
 
+let access_line (s : Footprint.access_summary) =
+  let a = s.Footprint.access in
+  let index, kind = index_and_kind a in
+  Printf.sprintf "    %-5s %s[%s]  req/warp=%d  reuse=%b" kind
+    a.Analysis.array index s.Footprint.req_warp s.Footprint.has_reuse
+
+(* what the rewrite runs for this loop, in Eq. 9's (N, M) terms against
+   the unthrottled kernel, and the split the gate refused, if any *)
+let verdict (t : Driver.t) (l : Driver.loop_decision) =
+  let d = l.Driver.decision in
+  let loop_id = l.Driver.footprint.Footprint.loop.Analysis.loop_id in
+  let n =
+    Option.value ~default:1
+      (List.assoc_opt loop_id t.Driver.rewrite.Transform.splits)
+  in
+  let m = snd t.Driver.baseline_tlp - t.Driver.resident_tbs in
+  let refused =
+    if d.Throttle.throttled && d.Throttle.n > n then
+      Printf.sprintf "; the sanitizer gate refused its N=%d split" d.Throttle.n
+    else ""
+  in
+  if n > 1 || m > 0 then Printf.sprintf "throttle to N=%d, M=%d%s" n m refused
+  else if refused <> "" then "runs whole" ^ refused
+  else if not d.Throttle.resolved then
+    "unresolvable: thrashes even at minimum TLP; left untouched"
+  else "fits: no throttling"
+
 let render_loop (cfg : Gpusim.Config.t) (t : Driver.t)
     (l : Driver.loop_decision) buf =
   let fp = l.Driver.footprint in
@@ -159,7 +190,7 @@ let render_loop (cfg : Gpusim.Config.t) (t : Driver.t)
        (if loop.Analysis.has_barrier then "  [barrier: warp split forbidden]"
         else ""));
   List.iter
-    (fun s -> Buffer.add_string buf (Report.access_line s ^ "\n"))
+    (fun s -> Buffer.add_string buf (access_line s ^ "\n"))
     fp.Footprint.summaries;
   Buffer.add_string buf
     (Printf.sprintf
@@ -190,16 +221,10 @@ let render_loop (cfg : Gpusim.Config.t) (t : Driver.t)
              (kb (cfg.Gpusim.Config.onchip_bytes - t.Driver.final_carveout))))
       d.Throttle.trials
   end;
-  let verdict =
-    if not d.Throttle.resolved then
-      "unresolvable: thrashes even at minimum TLP; left untouched"
-    else if not d.Throttle.throttled then "fits: no throttling"
-    else
-      Printf.sprintf "throttle to N=%d, M=%d" d.Throttle.n d.Throttle.m
-  in
   let sel_w, sel_t = Driver.selected_tlp t ~loop_id:loop.Analysis.loop_id in
   Buffer.add_string buf
-    (Printf.sprintf "    decision: %s -> TLP (%d, %d)\n" verdict sel_w sel_t)
+    (Printf.sprintf "    decision: %s -> TLP (%d, %d)\n" (verdict t l) sel_w
+       sel_t)
 
 let render (cfg : Gpusim.Config.t) (t : Driver.t) =
   let occ = t.Driver.occupancy in

@@ -84,16 +84,19 @@ let warp_throttle k ~loop_id ~n ~warps_per_tb ~warp_size ~one_dim_block =
   warp_throttle_plan k ~plan:[ (loop_id, n) ] ~warps_per_tb ~warp_size
     ~one_dim_block
 
-let count_top_loops (k : Ast.kernel) =
-  let rec count_block acc (b : Ast.block) = List.fold_left count_stmt acc b
-  and count_stmt acc (s : Ast.stmt) =
+(* the top-level loops in the pre-order [warp_throttle_plan] numbers them *)
+let top_loops (k : Ast.kernel) =
+  let rec loops_block acc (b : Ast.block) = List.fold_left loops_stmt acc b
+  and loops_stmt acc (s : Ast.stmt) =
     match s.Ast.sk with
-    | Ast.For _ | Ast.While _ -> acc + 1
-    | Ast.If (_, then_b, else_b) -> count_block (count_block acc then_b) else_b
-    | Ast.Block body -> count_block acc body
+    | Ast.For _ | Ast.While _ -> s :: acc
+    | Ast.If (_, then_b, else_b) -> loops_block (loops_block acc then_b) else_b
+    | Ast.Block body -> loops_block acc body
     | _ -> acc
   in
-  count_block 0 k.Ast.body
+  List.rev (loops_block [] k.Ast.body)
+
+let count_top_loops k = List.length (top_loops k)
 
 let tb_throttle (k : Ast.kernel) ~dummy_elems =
   if dummy_elems <= 0 then
@@ -143,10 +146,12 @@ let plan_tb_throttle (cfg : Gpusim.Config.t) ~tb_threads ~num_regs
       None options
   end
 
+type pad = { pad_bytes : int; pad_tbs : int }
+
 type gated = {
   rewritten : Ast.kernel;
   splits : (int * int) list;
-  pad_kept : bool;
+  pad : pad option;
 }
 
 (* The sanitizer has the last word on every rewrite.  A warp split plants
@@ -155,37 +160,42 @@ type gated = {
    the whole plan, the loops whose single split passes, the pad alone, the
    untouched kernel.  A step that would rebuild a refused rewrite is
    skipped. *)
-let gated_rewrite ?pad_bytes (geo : Sanitize.Geom.t) (k : Ast.kernel) ~plan
+let gated_rewrite ?pad (geo : Sanitize.Geom.t) (k : Ast.kernel) ~plan
     ~warps_per_tb ~warp_size =
   let one_dim_block = geo.Sanitize.Geom.block_y = 1 in
-  let plan = List.filter (fun (_, n) -> n > 1) plan in
+  (* a loop that reaches a barrier stays whole ([split_loop]): no split *)
+  let loops = top_loops k in
+  let whole id =
+    match List.nth_opt loops id with
+    | Some s -> Analysis.barrier_in s
+    | None -> false
+  in
+  let plan = List.filter (fun (id, n) -> n > 1 && not (whole id)) plan in
   let split splits =
     if splits = [] then k
     else
       warp_throttle_plan k ~plan:splits ~warps_per_tb ~warp_size
         ~one_dim_block
   in
-  let pad t =
-    match pad_bytes with
-    | Some bytes -> tb_throttle t ~dummy_elems:(max 1 (bytes / 4))
+  let with_pad t =
+    match pad with
+    | Some p -> tb_throttle t ~dummy_elems:(max 1 (p.pad_bytes / 4))
     | None -> t
   in
   let passes t =
     Result.is_ok (Sanitize.Check.gate geo ~original:k ~transformed:t)
   in
   let attempt splits =
-    let t = pad (split splits) in
-    if passes t then
-      Some { rewritten = t; splits; pad_kept = pad_bytes <> None }
-    else None
+    let t = with_pad (split splits) in
+    if passes t then Some { rewritten = t; splits; pad } else None
   in
-  let untouched = { rewritten = k; splits = []; pad_kept = false } in
+  let untouched = { rewritten = k; splits = []; pad = None } in
   match attempt plan with
   | Some g -> g
   | None when plan = [] -> untouched
   | None -> (
     let kept =
-      match (plan, pad_bytes) with
+      match (plan, pad) with
       | [ _ ], None -> []  (* its single split is the rewrite just refused *)
       | _ -> List.filter (fun s -> passes (split [ s ])) plan
     in
@@ -193,3 +203,12 @@ let gated_rewrite ?pad_bytes (geo : Sanitize.Geom.t) (k : Ast.kernel) ~plan
     match if kept = plan || kept = [] then None else attempt kept with
     | Some g -> g
     | None -> Option.value (attempt []) ~default:untouched)
+
+let tlp ?loop_id g (occ : Occupancy.t) =
+  let n =
+    match loop_id with
+    | Some id -> Option.value (List.assoc_opt id g.splits) ~default:1
+    | None -> List.fold_left (fun acc (_, n) -> max acc n) 1 g.splits
+  in
+  ( occ.Occupancy.warps_per_tb / n,
+    match g.pad with Some p -> p.pad_tbs | None -> occ.Occupancy.tbs_per_sm )

@@ -56,14 +56,23 @@ val plan_tb_throttle :
     [shared_bytes + d] per TB is exactly [target_tbs], maximizing the
     remaining L1D.  Returns [(carveout, dummy_bytes)]. *)
 
-type gated = {
-  rewritten : Minicuda.Ast.kernel;  (** what runs *)
-  splits : (int * int) list;  (** the entries of [plan] that were kept *)
-  pad_kept : bool;  (** the TB-level pad survived *)
+type pad = {
+  pad_bytes : int;  (** Fig. 5's dummy shared allocation, in bytes *)
+  pad_tbs : int;  (** the TBs per SM it leaves resident *)
 }
 
+type gated = {
+  rewritten : Minicuda.Ast.kernel;  (** what runs *)
+  splits : (int * int) list;
+      (** the loops [rewritten] runs in warp-group phases, with their
+          factors: the entries of [plan] that were kept, less any loop
+          left whole because it reaches a barrier *)
+  pad : pad option;  (** the TB-level pad, when it survived *)
+}
+(** The one record of what a gated rewrite runs. *)
+
 val gated_rewrite :
-  ?pad_bytes:int ->
+  ?pad:pad ->
   Sanitize.Geom.t ->
   Minicuda.Ast.kernel ->
   plan:(int * int) list ->
@@ -73,8 +82,16 @@ val gated_rewrite :
 (** The one sanitizer-gated rewrite, shared by CATT ({!Driver.analyze}) and
     the BFTT baseline ([Experiments.Runner.fixed_variant]): the warp splits
     of [plan] (as for {!warp_throttle_plan}; factors of 1 are no split) plus,
-    with [pad_bytes], the {!tb_throttle} pad of [pad_bytes / 4] floats.
+    with [pad], the {!tb_throttle} pad of [pad_bytes / 4] floats.
     {!Sanitize.Check.gate} must accept the result, so the request narrows
     until it does: the whole plan with the pad, then only the loops whose
     single split the gate accepts (with the pad), then the pad alone, then
     the untouched kernel (returned physically unchanged). *)
+
+val tlp : ?loop_id:int -> gated -> Occupancy.t -> int * int
+(** [tlp g occ] is the (warps per TB, TBs per SM) [g] runs at, for the
+    kernel whose unthrottled occupancy is [occ]: with [loop_id], that
+    loop's, whose phases hold [warps_per_tb / n] warps when [g] split it by
+    [n] and the whole TB otherwise; without, the kernel's, at its most
+    split loop.  TBs per SM are the kept pad's, else [occ]'s.  Every CATT
+    and BFTT TLP report reads this. *)

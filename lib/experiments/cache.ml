@@ -36,7 +36,7 @@ let dir : string ref = ref (Filename.concat "results" "cache")
 (* ------------------------------------------------------------------ *)
 
 (* process-wide, always on: surfaced in the experiments_main summary
-   line, span attrs, and every run manifest's metric snapshot *)
+   line and span attrs *)
 let m_hits = Obs.Metrics.counter "cache.hits"
 let m_misses = Obs.Metrics.counter "cache.misses"
 let m_stores = Obs.Metrics.counter "cache.stores"
@@ -90,9 +90,6 @@ let config_fingerprint (c : Config.t) =
     dram_slot_cycles;
     alu_latency;
     issue_width;
-    (* trace_cap deliberately excluded: it bounds the Fig. 2 trace ring,
-       which is never cached, and cannot change simulated counters *)
-    trace_cap = _;
   } =
     c
   in

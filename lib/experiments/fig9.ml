@@ -1,39 +1,32 @@
 (** Paper Fig. 9: normalized execution time of every CS kernel across the
-    full range of throttling factors (max TLP → min TLP), with the factor
-    CATT selected marked by a star.  Checks the accuracy of the static
-    analysis: for regular kernels the star should sit at (or next to) the
-    minimum. *)
+    full range of throttling factors (max TLP → min TLP), with the first
+    factor that runs the TLP CATT selected marked by a star.  Checks the
+    accuracy of the static analysis: for regular kernels the star should
+    sit at (or next to) the minimum. *)
 
 type kernel_curve = {
   app : string;
   kernel : string;
   factors : ((int * int) * float) list;  (** (n, m) → normalized time *)
-  catt_pick : int * int;  (** the (n, m) CATT's decision corresponds to *)
+  catt_pick : (int * int) option;
+      (** the first (n, m) whose run has CATT's kernel TLP *)
   star_is_best : bool;
   star_within : float;  (** star time / best time *)
 }
 
-(* map CATT's per-kernel decision back onto the sweep's (n, m) axis *)
-let catt_factor cfg (w : Workloads.Workload.t) kernel_name =
-  let run = Runner.run cfg w Runner.Catt in
-  match List.assoc_opt kernel_name run.Runner.catt_analyses with
-  | None -> (1, 0)
-  | Some t ->
-    List.fold_left
-      (fun (n_acc, m_acc) (l : Catt.Driver.loop_decision) ->
-        let d = l.Catt.Driver.decision in
-        if d.Catt.Throttle.throttled then (max n_acc d.Catt.Throttle.n, max m_acc d.Catt.Throttle.m)
-        else (n_acc, m_acc))
-      (1, 0) t.Catt.Driver.loops
+let kernel_stats (r : Runner.app_run) kernel_name =
+  List.find_opt
+    (fun (ks : Runner.kernel_stats) -> ks.Runner.kernel_name = kernel_name)
+    r.Runner.kernels
 
-let kernel_cycles (r : Runner.app_run) kernel_name =
-  match
-    List.find_opt
-      (fun (ks : Runner.kernel_stats) -> ks.Runner.kernel_name = kernel_name)
-      r.Runner.kernels
-  with
+let kernel_cycles r kernel_name =
+  match kernel_stats r kernel_name with
   | Some ks -> float_of_int ks.Runner.stats.Gpusim.Stats.cycles
   | None -> nan
+
+let kernel_tlp r kernel_name =
+  Option.map (fun (ks : Runner.kernel_stats) -> ks.Runner.tlp)
+    (kernel_stats r kernel_name)
 
 let curves cfg (w : Workloads.Workload.t) =
   let sweep = Runner.sweep cfg w in
@@ -42,6 +35,7 @@ let curves cfg (w : Workloads.Workload.t) =
     | ((1, 0), r) :: _ -> r
     | _ -> Runner.run cfg w Runner.Baseline
   in
+  let catt = Runner.run cfg w Runner.Catt in
   List.map
     (fun (kernel_name, _) ->
       let base_cycles = kernel_cycles base kernel_name in
@@ -50,11 +44,16 @@ let curves cfg (w : Workloads.Workload.t) =
           (fun (f, r) -> (f, kernel_cycles r kernel_name /. base_cycles))
           sweep
       in
-      let pick = catt_factor cfg w kernel_name in
-      (* the star: the sweep point matching CATT's factor (clamped like the
-         runner clamps) — fall back to baseline when CATT didn't throttle *)
+      (* the star: the sweep point that runs the TLP CATT's program runs
+         (the gate's record on both sides) — baseline's time when none
+         does *)
+      let catt_tlp = kernel_tlp catt kernel_name in
+      let pick =
+        Option.map fst
+          (List.find_opt (fun (_, r) -> kernel_tlp r kernel_name = catt_tlp) sweep)
+      in
       let star_time =
-        match List.assoc_opt pick factors with
+        match Option.bind pick (fun f -> List.assoc_opt f factors) with
         | Some t -> t
         | None -> 1.
       in
@@ -88,7 +87,7 @@ let render () =
                (List.map
                   (fun ((n, m), t) ->
                     ( Printf.sprintf "N=%2d M=%d%s" n m
-                        (if (n, m) = c.catt_pick then " *" else ""),
+                        (if Some (n, m) = c.catt_pick then " *" else ""),
                       t ))
                   c.factors));
           Buffer.add_char buf '\n')

@@ -132,8 +132,8 @@ let largest_divisor_leq value cap =
 type fixed_variant = {
   fixed_kernel : Minicuda.Ast.kernel;
   fixed_tlp : int * int;
-      (** (warps per TB, TBs per SM) of [fixed_kernel]: the whole TB's
-          warps when the gate kept no split *)
+      (** {!Catt.Transform.tlp} of the gated rewrite: (warps per TB, TBs
+          per SM) of [fixed_kernel] *)
   fixed_carveout : int option;
 }
 
@@ -168,22 +168,22 @@ let fixed_variant cfg kernel geo ~n ~m =
       List.init (Catt.Transform.count_top_loops kernel) (fun id -> (id, n'))
     in
     let g =
-      Catt.Transform.gated_rewrite ?pad_bytes:(Option.map snd pad) geo kernel
-        ~plan ~warps_per_tb ~warp_size:cfg.Config.warp_size
-    in
-    let carveout, tbs' =
-      match pad with
-      | Some (c, _) when g.Catt.Transform.pad_kept -> (Some c, tbs - m')
-      | _ -> (None, tbs)
-    in
-    let warps =
-      if g.Catt.Transform.splits = [] then warps_per_tb else warps_per_tb / n'
+      Catt.Transform.gated_rewrite
+        ?pad:
+          (Option.map
+             (fun (_, pad_bytes) ->
+               { Catt.Transform.pad_bytes; pad_tbs = tbs - m' })
+             pad)
+        geo kernel ~plan ~warps_per_tb ~warp_size:cfg.Config.warp_size
     in
     Ok
       {
         fixed_kernel = g.Catt.Transform.rewritten;
-        fixed_tlp = (warps, tbs');
-        fixed_carveout = carveout;
+        fixed_tlp = Catt.Transform.tlp g occ;
+        fixed_carveout =
+          (match (pad, g.Catt.Transform.pad) with
+          | Some (c, _), Some _ -> Some c
+          | _ -> None);
       }
 
 let prepare_fixed cfg kernel geo ~n ~m =
@@ -202,24 +202,11 @@ let prepare_catt ?model cfg kernel geo =
   match Catt.Driver.analyze ?model cfg kernel geo with
   | Error _ as e -> e
   | Ok t ->
-    let transformed = t.Catt.Driver.transformed in
-    (* the kernel-level TLP: the strongest of the per-loop selections *)
-    let tlp =
-      List.fold_left
-        (fun (bw, bt) (l : Catt.Driver.loop_decision) ->
-          let d = l.Catt.Driver.decision in
-          if d.Catt.Throttle.throttled then
-            ( min bw d.Catt.Throttle.active_warps_per_tb,
-              min bt d.Catt.Throttle.active_tbs )
-          else (bw, bt))
-        (fst t.Catt.Driver.baseline_tlp, t.Catt.Driver.resident_tbs)
-        t.Catt.Driver.loops
-    in
     Ok
       {
-        prog = Gpusim.Codegen.compile_kernel transformed;
+        prog = Gpusim.Codegen.compile_kernel t.Catt.Driver.transformed;
         carveout = Some t.Catt.Driver.final_carveout;
-        prepared_tlp = tlp;
+        prepared_tlp = Catt.Driver.selected_tlp t;
         analysis = Some t;
       }
 
@@ -399,8 +386,10 @@ module Json = Gpu_util.Json
 (* bump when the layout below changes — or when the transformation a scheme
    applies changes, since cached cycles would then describe a kernel that is
    no longer produced (v2: sanitizer-gated BFTT splitting; v3: a BFTT
-   kernel whose splits the gate refused reports its whole TB's warps) *)
-let cache_format_version = 3
+   kernel whose splits the gate refused reports its whole TB's warps; v4:
+   TLP is read from the gate's record, where a loop left whole because it
+   reaches a barrier is no split) *)
+let cache_format_version = 4
 
 let kernel_stats_to_json (ks : kernel_stats) =
   Json.Obj

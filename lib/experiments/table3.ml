@@ -10,7 +10,7 @@ let catt_loop_tlps cfg (w : Workloads.Workload.t) kernel_name =
   | None -> [ ("-", tlp_cell (0, 0)) ]
   | Some t ->
     let loops = t.Catt.Driver.loops in
-    if loops = [] then [ ("-", tlp_cell t.Catt.Driver.baseline_tlp) ]
+    if loops = [] then [ ("-", tlp_cell (Catt.Driver.selected_tlp t)) ]
     else
       List.map
         (fun (l : Catt.Driver.loop_decision) ->

@@ -359,8 +359,7 @@ let kernel dev l ~arrays ~scalars ~dram_free ~max_tbs ~l1_bytes ~l1 =
       sched = l.sched;
       stats = Stats.create ();
       trace =
-        (if l.trace then Trace.create ~cap:dev.cfg.Config.trace_cap ~sm:0 ()
-         else Trace.disabled);
+        (if l.trace then Trace.create ~sm:0 () else Trace.disabled);
       l2 = dev.l2;
       line_shift = log2 line_bytes;
       dram_free;

@@ -17,8 +17,7 @@ val default_cap : int
 
 val create : ?cap:int -> ?sm:int -> unit -> t
 (** [create ~cap ~sm ()] records the most recent [cap] events (default
-    {!default_cap}; launches pass [Config.trace_cap]) from SM [sm]
-    (default 0). *)
+    {!default_cap}, which launches take) from SM [sm] (default 0). *)
 
 val record : t -> sm:int -> pc:int -> requests:int -> cycle:int -> unit
 

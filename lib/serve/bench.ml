@@ -176,9 +176,9 @@ let serve_stage name =
 (** Every gated stage, by name, as a function measuring it under that
     name: the five grid stages, whose simulator cells stand behind every
     reproduced table and figure, then the serve loop.  A cell's manifest
-    snapshots the metrics registry only when the cell is stored, so the
-    uncached grid cells allocate the same whether or not the serve
-    stage's server has registered its metrics. *)
+    holds no metrics snapshot, so the grid cells allocate the same
+    whether or not the serve stage's server has registered its
+    metrics. *)
 let stages : (string * (string -> stage)) list =
   let grid = grid_stage Workloads.Registry.all in
   Experiments.Scheme.

@@ -5,9 +5,10 @@
    the test in [test_experiments.ml] that requires
    {!Experiments.Runner.fixed_variant} to emit the same kernel, TLP and
    carveout on every registry kernel and BFTT candidate.  One departure
-   from the chain as it stood: a kernel that keeps no warp split reports
+   from the chain as it stood: a kernel that runs no warp split reports
    its whole TB's warps, not the requested [warps_per_tb / n], as the
-   runner now does. *)
+   runner now does — whether the gate refused every split or each kept
+   loop reaches a barrier and so stays whole. *)
 
 module Ast = Minicuda.Ast
 module Transform = Catt.Transform
@@ -89,11 +90,10 @@ let fixed_variant cfg kernel (geo : Catt.Analysis.geometry) ~n ~m =
         ~warp_size:cfg.Gpusim.Config.warp_size
         ~one_dim_block:(geo.Catt.Analysis.block_y = 1)
     in
-    (* the chain returns the kernel itself when it keeps no split *)
+    (* a split always changes the kernel; a kept loop that reaches a
+       barrier does not *)
     let warps =
-      if k != kernel && Transform.count_top_loops kernel > 0 then
-        warps_per_tb / n'
-      else warps_per_tb
+      if Ast.equal_kernel k kernel then warps_per_tb else warps_per_tb / n'
     in
     let k, carveout, tbs' =
       if m' > 0 then

@@ -243,7 +243,7 @@ let test_manifest_roundtrip () =
     check_int "seed" m.Experiments.Manifest.seed m'.Experiments.Manifest.seed;
     check_string "fingerprint" m.Experiments.Manifest.fingerprint
       m'.Experiments.Manifest.fingerprint;
-    (* reserialization is byte-stable, so the metric floats survived *)
+    (* reserialization is byte-stable, so the wall-time float survived *)
     check_string "round-trip is lossless" rendered
       (Json.to_string (Experiments.Manifest.to_json m'))
 

@@ -181,10 +181,24 @@ let test_carveout_resize () =
 
 let test_trace_bounded () =
   let cap = 64 in
-  let cfg = { cfg2 with Config.trace_cap = cap } in
+  let trace = Gpusim.Trace.create ~cap ~sm:0 () in
+  for i = 1 to 3 * cap do
+    Gpusim.Trace.record trace ~sm:0 ~pc:i ~requests:1 ~cycle:i;
+    (* another SM's events are not this ring's *)
+    Gpusim.Trace.record trace ~sm:1 ~pc:0 ~requests:1 ~cycle:i
+  done;
+  check_int "ring capacity is its cap" cap (Gpusim.Trace.capacity trace);
+  check_int "stored entries bounded" cap (Gpusim.Trace.length trace);
+  check_int "older entries were dropped, not stored" (2 * cap)
+    (Gpusim.Trace.dropped trace);
+  check_int "the most recent window survives" ((2 * cap) + 1)
+    (Gpusim.Trace.to_array trace).(0).Gpusim.Trace.pc;
+  check_int "series matches ring" cap
+    (Array.length (Gpusim.Trace.request_series trace));
+  (* a traced launch records into a ring of the default cap *)
   let kernel = Minicuda.Parser.parse_kernel two_array_src in
   let prog = Gpusim.Codegen.compile_kernel kernel in
-  let dev = Gpu.create cfg in
+  let dev = Gpu.create cfg2 in
   Gpu.upload dev "a" (Array.make (128 * 16) 1.0);
   Gpu.upload dev "b" (Array.make 16 1.0);
   Gpu.alloc dev "out" 128;
@@ -192,11 +206,10 @@ let test_trace_bounded () =
     Gpu.default_launch ~trace:true ~prog ~grid:(2, 1) ~block:(64, 1)
       [ Gpu.Arr "a"; Gpu.Arr "b"; Gpu.Arr "out" ]
   in
-  let _, trace = Gpu.launch dev launch in
-  check_int "ring capacity honours Config.trace_cap" cap (Gpusim.Trace.capacity trace);
-  check_int "stored entries bounded" cap (Gpusim.Trace.length trace);
-  check "older entries were dropped, not stored" true (Gpusim.Trace.dropped trace > 0);
-  check_int "series matches ring" cap (Array.length (Gpusim.Trace.request_series trace))
+  let _, launched = Gpu.launch dev launch in
+  check_int "launch ring at the default cap" Gpusim.Trace.default_cap
+    (Gpusim.Trace.capacity launched);
+  check "launch recorded" true (Gpusim.Trace.length launched > 0)
 
 let test_json_roundtrip () =
   let c = Profile.Collector.create () in

@@ -389,8 +389,9 @@ let mixed_loops_src =
 let test_gated_rewrite_chain () =
   let k = Parser.parse_kernel mixed_loops_src in
   let g = geo ~block:(256, 1) () in
-  let rewrite ?pad_bytes plan =
-    Transform.gated_rewrite ?pad_bytes g k ~plan ~warps_per_tb:8 ~warp_size:32
+  let pad = { Transform.pad_bytes = 1024; pad_tbs = 1 } in
+  let rewrite ?pad plan =
+    Transform.gated_rewrite ?pad g k ~plan ~warps_per_tb:8 ~warp_size:32
   in
   let has_pad (r : Transform.gated) =
     List.exists
@@ -401,20 +402,20 @@ let test_gated_rewrite_chain () =
       r.Transform.rewritten.Ast.body
   in
   (* the whole plan is refused; loop 0's split survives with the pad *)
-  let r = rewrite ~pad_bytes:1024 [ (0, 2); (1, 2) ] in
+  let r = rewrite ~pad [ (0, 2); (1, 2) ] in
   Alcotest.(check (list (pair int int))) "loop 0 kept" [ (0, 2) ]
     r.Transform.splits;
-  Alcotest.(check bool) "pad kept" true (r.Transform.pad_kept && has_pad r);
+  Alcotest.(check bool) "pad kept" true (r.Transform.pad = Some pad && has_pad r);
   Alcotest.(check int) "loop 0 in two phases" 3
     (Transform.count_top_loops r.Transform.rewritten);
   (* only the refused loop: the pad alone *)
-  let r = rewrite ~pad_bytes:1024 [ (1, 2) ] in
+  let r = rewrite ~pad [ (1, 2) ] in
   Alcotest.(check (list (pair int int))) "no split" [] r.Transform.splits;
-  Alcotest.(check bool) "pad alone" true (r.Transform.pad_kept && has_pad r);
+  Alcotest.(check bool) "pad alone" true (r.Transform.pad = Some pad && has_pad r);
   (* no pad to fall back on: the original value itself *)
   let r = rewrite [ (1, 2) ] in
   Alcotest.(check bool) "untouched" true (r.Transform.rewritten == k);
-  Alcotest.(check bool) "no pad" false r.Transform.pad_kept;
+  Alcotest.(check bool) "no pad" true (r.Transform.pad = None);
   (* factors of 1 split nothing, so nothing is gated *)
   Alcotest.(check bool) "n = 1 is the original" true
     ((rewrite [ (0, 1); (1, 1) ]).Transform.rewritten == k)
