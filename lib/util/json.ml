@@ -11,75 +11,155 @@ type t =
 
 (* --------------------------- printing ------------------------------ *)
 
-let add_escaped buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* [to_string] measures its output first and then fills one string of
+   exactly that size, so an encode allocates its result and nothing else:
+   no buffer regrown by doubling and no final copy out of it, blocks that
+   for a line past 2 KB go straight to the major heap. *)
 
-let add_float buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.1f" f)
-  else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+let float_repr f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
+
+let int_len i =
+  if i = min_int then String.length (string_of_int i)
+  else begin
+    let n = ref (if i < 0 then 2 else 1) and v = ref (abs i) in
+    while !v >= 10 do
+      v := !v / 10;
+      incr n
+    done;
+    !n
+  end
+
+let escaped_len s =
+  let n = ref 2 in
+  for i = 0 to String.length s - 1 do
+    n :=
+      !n
+      +
+      match String.unsafe_get s i with
+      | '"' | '\\' | '\n' | '\r' | '\t' -> 2
+      | c when Char.code c < 0x20 -> 6
+      | _ -> 1
+  done;
+  !n
+
+(* bytes before an item of a container at [depth]: the comma, then in
+   pretty mode a newline and the item's indent *)
+let sep_len pretty depth first =
+  (if first then 0 else 1) + if pretty then 1 + (2 * (depth + 1)) else 0
+
+let close_len pretty depth = if pretty then 1 + (2 * depth) else 0
+
+let rec encoded_len pretty depth = function
+  | Null -> 4
+  | Bool b -> if b then 4 else 5
+  | Int i -> int_len i
+  | Float f -> String.length (float_repr f)
+  | String s -> escaped_len s
+  | List [] | Obj [] -> 2
+  | List items -> items_len pretty depth 2 true items
+  | Obj fields -> fields_len pretty depth 2 true fields
+
+and items_len pretty depth acc first = function
+  | [] -> acc + close_len pretty depth
+  | item :: rest ->
+    items_len pretty depth
+      (acc + sep_len pretty depth first + encoded_len pretty (depth + 1) item)
+      false rest
+
+and fields_len pretty depth acc first = function
+  | [] -> acc + close_len pretty depth
+  | (k, item) :: rest ->
+    fields_len pretty depth
+      (acc + sep_len pretty depth first + escaped_len k
+      + (if pretty then 2 else 1)
+      + encoded_len pretty (depth + 1) item)
+      false rest
 
 let to_string ?(pretty = false) v =
-  let buf = Buffer.create 256 in
-  let indent n = Buffer.add_string buf (String.make (2 * n) ' ') in
+  let out = Bytes.create (encoded_len pretty 0 v) in
+  let pos = ref 0 in
+  let char c =
+    Bytes.set out !pos c;
+    incr pos
+  in
+  let string s =
+    Bytes.blit_string s 0 out !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  let newline depth =
+    if pretty then begin
+      char '\n';
+      Bytes.fill out !pos (2 * depth) ' ';
+      pos := !pos + (2 * depth)
+    end
+  in
+  let escaped s =
+    char '"';
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
+      | '"' -> string "\\\""
+      | '\\' -> string "\\\\"
+      | '\n' -> string "\\n"
+      | '\r' -> string "\\r"
+      | '\t' -> string "\\t"
+      | c when Char.code c < 0x20 ->
+        string (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> char c
+    done;
+    char '"'
+  in
+  let digits i =
+    if i = min_int then string (string_of_int i)
+    else begin
+      let stop = !pos + int_len i and v = ref (abs i) in
+      for k = stop - 1 downto if i < 0 then !pos + 1 else !pos do
+        Bytes.set out k (Char.unsafe_chr (48 + (!v mod 10)));
+        v := !v / 10
+      done;
+      if i < 0 then Bytes.set out !pos '-';
+      pos := stop
+    end
+  in
   let rec write depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> add_float buf f
-    | String s -> add_escaped buf s
-    | List [] -> Buffer.add_string buf "[]"
+    | Null -> string "null"
+    | Bool b -> string (if b then "true" else "false")
+    | Int i -> digits i
+    | Float f -> string (float_repr f)
+    | String s -> escaped s
+    | List [] -> string "[]"
+    | Obj [] -> string "{}"
     | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          if pretty then begin
-            Buffer.add_char buf '\n';
-            indent (depth + 1)
-          end;
-          write (depth + 1) item)
-        items;
-      if pretty then begin
-        Buffer.add_char buf '\n';
-        indent depth
-      end;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
+      char '[';
+      write_items depth true items;
+      newline depth;
+      char ']'
     | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_char buf ',';
-          if pretty then begin
-            Buffer.add_char buf '\n';
-            indent (depth + 1)
-          end;
-          add_escaped buf k;
-          Buffer.add_string buf (if pretty then ": " else ":");
-          write (depth + 1) item)
-        fields;
-      if pretty then begin
-        Buffer.add_char buf '\n';
-        indent depth
-      end;
-      Buffer.add_char buf '}'
+      char '{';
+      write_fields depth true fields;
+      newline depth;
+      char '}'
+  and write_items depth first = function
+    | [] -> ()
+    | item :: rest ->
+      if not first then char ',';
+      newline (depth + 1);
+      write (depth + 1) item;
+      write_items depth false rest
+  and write_fields depth first = function
+    | [] -> ()
+    | (k, item) :: rest ->
+      if not first then char ',';
+      newline (depth + 1);
+      escaped k;
+      string (if pretty then ": " else ":");
+      write (depth + 1) item;
+      write_fields depth false rest
   in
   write 0 v;
-  Buffer.contents buf
+  assert (!pos = Bytes.length out);
+  Bytes.unsafe_to_string out
 
 (* --------------------------- parsing ------------------------------- *)
 

@@ -337,6 +337,90 @@ let test_single_flight_distinct_keys () =
   Thread.join slow;
   Alcotest.(check int) "quiescent" 0 (Sf.in_flight t)
 
+(* ---------------------------- Json -------------------------------- *)
+
+(* The plain way to print: append to a growing buffer.  The codec sizes
+   its output first; both must give the same bytes. *)
+let reference_to_string ~pretty v =
+  let module J = Gpu_util.Json in
+  let buf = Buffer.create 16 in
+  let escaped s =
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let newline depth =
+    if pretty then Buffer.add_string buf ("\n" ^ String.make (2 * depth) ' ')
+  in
+  let rec write depth = function
+    | J.Null -> Buffer.add_string buf "null"
+    | J.Bool b -> Buffer.add_string buf (string_of_bool b)
+    | J.Int i -> Buffer.add_string buf (string_of_int i)
+    | J.Float f ->
+      Buffer.add_string buf
+        (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+         else Printf.sprintf "%.17g" f)
+    | J.String s -> escaped s
+    | J.List [] -> Buffer.add_string buf "[]"
+    | J.Obj [] -> Buffer.add_string buf "{}"
+    | J.List items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_char buf ',';
+          newline (depth + 1);
+          write (depth + 1) item)
+        items;
+      newline depth;
+      Buffer.add_char buf ']'
+    | J.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, item) ->
+          if i > 0 then Buffer.add_char buf ',';
+          newline (depth + 1);
+          escaped k;
+          Buffer.add_string buf (if pretty then ": " else ":");
+          write (depth + 1) item)
+        fields;
+      newline depth;
+      Buffer.add_char buf '}'
+  in
+  write 0 v;
+  Buffer.contents buf
+
+let test_json_printer () =
+  let module J = Gpu_util.Json in
+  let ints = [ 0; 7; -7; 10; -10; 99; 100; 123456789; -1000000; max_int; min_int ] in
+  let v =
+    J.Obj
+      [
+        ("ints", J.List (List.map (fun i -> J.Int i) ints));
+        ("floats", J.List (List.map (fun f -> J.Float f) [ 0.; -2.; 0.1; 1.5e20; -3.25e-7 ]));
+        ("text", J.String "q\" b\\ n\n r\r t\t nul\000 bell\007 us\031 ~\127");
+        ("empty", J.List [ J.List []; J.Obj []; J.String "" ]);
+        ("nested", J.Obj [ ("a", J.List [ J.Null; J.Bool true; J.Bool false ]); ("\"k\"", J.Obj [ ("x", J.Int 1) ]) ]);
+      ]
+  in
+  List.iter
+    (fun (pretty, v) ->
+      let got = J.to_string ~pretty v in
+      Alcotest.(check string)
+        (Printf.sprintf "bytes (pretty=%b)" pretty)
+        (reference_to_string ~pretty v) got;
+      Alcotest.(check bool) "parses back" true (J.of_string got = Ok v))
+    [ (false, v); (true, v); (false, J.Int min_int); (true, J.List []); (false, J.String "") ]
+
 let tests =
   [
     ( "util.rng",
@@ -375,6 +459,7 @@ let tests =
         Alcotest.test_case "sparkline extremes" `Quick test_sparkline_extremes;
         Alcotest.test_case "series size" `Quick test_series_nonempty;
       ] );
+    ("util.json", [ Alcotest.test_case "sized printer = buffer printer" `Quick test_json_printer ]);
     ( "util.single_flight",
       [
         Alcotest.test_case "solo caller leads" `Quick test_single_flight_solo;
