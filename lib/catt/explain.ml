@@ -177,43 +177,45 @@ let verdict (t : Driver.t) (l : Driver.loop_decision) =
   else "fits: no throttling"
 
 let render_loop (cfg : Gpusim.Config.t) (t : Driver.t)
-    (l : Driver.loop_decision) buf =
+    (l : Driver.loop_decision) add =
   let fp = l.Driver.footprint in
   let d = l.Driver.decision in
   let loop = fp.Footprint.loop in
   let line_bytes = cfg.Gpusim.Config.line_bytes in
   let occ = t.Driver.occupancy in
   let full_warps = occ.Occupancy.concurrent_warps in
-  Buffer.add_string buf
+  add
     (Printf.sprintf "  loop %d (iterator %s)%s:\n" loop.Analysis.loop_id
        loop.Analysis.loop_var
        (if loop.Analysis.has_barrier then "  [barrier: warp split forbidden]"
         else ""));
   List.iter
-    (fun s -> Buffer.add_string buf (access_line s ^ "\n"))
+    (fun s ->
+      add (access_line s);
+      add "\n")
     fp.Footprint.summaries;
-  Buffer.add_string buf
+  add
     (Printf.sprintf
        "    Eq.8 @ full TLP: %d lines/warp x %d warps x %d B = %s\n"
        fp.Footprint.req_per_warp full_warps line_bytes
        (kb (Footprint.size_req_bytes ~line_bytes fp ~concurrent_warps:full_warps)));
   if fp.Footprint.shared_lines > 0 then
-    Buffer.add_string buf
+    add
       (Printf.sprintf "    + shared tier (once per SM): %d lines = %s\n"
          fp.Footprint.shared_lines
          (kb (fp.Footprint.shared_lines * line_bytes)));
   if d.Throttle.trials = [] then
-    Buffer.add_string buf
+    add
       (if not fp.Footprint.has_locality then
          "    no cross-iteration locality: throttling cannot help, skipped\n"
        else if loop.Analysis.has_barrier then
          "    left at full TLP (barrier)\n"
        else "    no capacity test recorded\n")
   else begin
-    Buffer.add_string buf "    candidates tried:\n";
+    add "    candidates tried:\n";
     List.iter
       (fun (tr : Throttle.trial) ->
-        Buffer.add_string buf
+        add
           (Printf.sprintf "      N=%-3d M=%-3d warps=%-4d %10s %2s %s\n"
              tr.Throttle.cand_n tr.Throttle.cand_m tr.Throttle.cand_warps
              (kb tr.Throttle.cand_bytes)
@@ -222,34 +224,39 @@ let render_loop (cfg : Gpusim.Config.t) (t : Driver.t)
       d.Throttle.trials
   end;
   let sel_w, sel_t = Driver.selected_tlp t ~loop_id:loop.Analysis.loop_id in
-  Buffer.add_string buf
+  add
     (Printf.sprintf "    decision: %s -> TLP (%d, %d)\n" (verdict t l) sel_w
        sel_t)
 
+(* The pieces are joined once, into a string of the exact length.  A
+   [Buffer] that outgrew 1 KB would double into a 2 KB block, past the
+   minor heap's largest size, so every long rendering (BFS's
+   [bfs_expand]) paid for a major-heap block it then copied out of. *)
 let render (cfg : Gpusim.Config.t) (t : Driver.t) =
   let occ = t.Driver.occupancy in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
+  let pieces = ref [] in
+  let add s = pieces := s :: !pieces in
+  add
     (Printf.sprintf "kernel %s  grid (%d,%d) block (%d,%d)\n"
        t.Driver.kernel.Minicuda.Ast.kernel_name
        t.Driver.geometry.Analysis.grid_x t.Driver.geometry.Analysis.grid_y
        t.Driver.geometry.Analysis.block_x t.Driver.geometry.Analysis.block_y);
-  Buffer.add_string buf
+  add
     (Printf.sprintf
        "  occupancy: %d warps/TB x %d TBs/SM, carveout %s -> L1D %s\n"
        occ.Occupancy.warps_per_tb occ.Occupancy.tbs_per_sm
        (kb occ.Occupancy.smem_carveout)
        (kb occ.Occupancy.l1d_bytes));
-  List.iter (fun l -> render_loop cfg t l buf) t.Driver.loops;
+  List.iter (fun l -> render_loop cfg t l add) t.Driver.loops;
   (match t.Driver.tb_throttle_plan with
   | Some (carveout, dummy) ->
-    Buffer.add_string buf
+    add
       (Printf.sprintf "  TB throttle: +%d B dummy shared, carveout %s (L1D %s)\n"
          dummy (kb carveout)
          (kb (cfg.Gpusim.Config.onchip_bytes - carveout)))
   | None -> ());
-  Buffer.add_string buf
+  add
     (Printf.sprintf "  sanitizer gate: %s\n"
        (if t.Driver.gate_degraded then "DEGRADED (part of the plan refused)"
         else "clean"));
-  Buffer.contents buf
+  String.concat "" (List.rev !pieces)

@@ -21,15 +21,12 @@ let to_json cfg (w : Workloads.Workload.t) analyses =
       );
     ]
 
-(** The human rendering of [w] from its kernels' [analyses]. *)
+(** The human rendering of [w] from its kernels' [analyses], joined
+    once into a string of the exact length (see {!Catt.Explain.render}). *)
 let to_text cfg (w : Workloads.Workload.t) analyses =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "== %s under CATT ==\n" w.Workloads.Workload.name);
-  (match analyses with
-  | [] -> Buffer.add_string buf "no kernel could be analyzed\n"
-  | kernels ->
-    List.iter
-      (fun (_, t) -> Buffer.add_string buf (Catt.Explain.render cfg t))
-      kernels);
-  Buffer.contents buf
+  String.concat ""
+    (Printf.sprintf "== %s under CATT ==\n" w.Workloads.Workload.name
+    ::
+    (match analyses with
+    | [] -> [ "no kernel could be analyzed\n" ]
+    | kernels -> List.map (fun (_, t) -> Catt.Explain.render cfg t) kernels))
