@@ -286,6 +286,41 @@ let test_warm_second_run_hits_cache () =
       let third = Runner.run cfg w scheme in
       check_run_equal "recomputed after clear" first third)
 
+(* [Runner.analyses_for] runs the CATT pass once per config, workload and
+   model: a repeat answers the memo's list, a CATT entry decoded from disk
+   carries that list, another record under the same name is analysed
+   afresh to the same verdicts, and [clear_memo] drops the memo. *)
+let test_analyses_memoized () =
+  with_temp_cache (fun () ->
+      let cfg = Gpusim.Config.scaled ~num_sms:2 ~onchip_bytes:(32 * 1024) () in
+      let w = Workloads.Registry.find "BT" in
+      let verdicts analyses =
+        List.map
+          (fun (name, t) -> (name, Json.to_string (Catt.Explain.to_json cfg t)))
+          analyses
+      in
+      Runner.clear_memo ();
+      let first = Runner.analyses_for cfg w Runner.Catt in
+      Alcotest.(check bool) "BT is analysed" true (first <> []);
+      Alcotest.(check bool) "a repeat answers the memo's list" true
+        (Runner.analyses_for cfg w Runner.Catt == first);
+      ignore (Runner.run cfg w Runner.Catt);
+      Runner.clear_memo ();
+      let decoded = Runner.run cfg w Runner.Catt in
+      let after_clear = Runner.analyses_for cfg w Runner.Catt in
+      Alcotest.(check bool) "clear_memo drops the analyses" true
+        (after_clear != first);
+      Alcotest.(check bool) "a decoded entry carries the memo's list" true
+        (decoded.Runner.catt_analyses == after_clear);
+      let copy = { w with Workloads.Workload.description = "a copy" } in
+      let fresh = Runner.analyses_for cfg copy Runner.Catt in
+      Alcotest.(check bool) "another record is analysed afresh" true
+        (fresh != after_clear);
+      Alcotest.(check (list (pair string string))) "to the same verdicts"
+        (verdicts first) (verdicts fresh);
+      Runner.clear_memo ();
+      Cache.clear ())
+
 (* Every state a disk entry can be in, for both instances of the runner's
    cache ladder.  Only an entry that decodes is a hit; an absent one is a
    miss, and any other is a miss and an eviction; both simulate the cell
@@ -499,6 +534,7 @@ let tests =
         Alcotest.test_case "fingerprint covers every field" `Quick
           test_fingerprint_sensitive_to_every_field;
         Alcotest.test_case "second run hits cache" `Quick test_warm_second_run_hits_cache;
+        Alcotest.test_case "CATT analyses memoized" `Quick test_analyses_memoized;
         Alcotest.test_case "corrupt entry recomputed" `Quick test_corrupt_cache_entry_is_recomputed;
         Alcotest.test_case "two writers on one key" `Quick test_two_writers_one_key;
         Alcotest.test_case "store on a full disk" `Quick test_store_full_disk;

@@ -1730,29 +1730,43 @@ let test_coalesced_trace_linkage () =
 
 (* An explain request runs the CATT pass once per kernel and renders
    both forms from it: counted by the driver's [catt.analyze] spans.  The
-   answer is the pinned provenance record and the CLI's rendering. *)
+   pass is memoized per config and workload, so a second explain runs
+   none.  The answer is the pinned provenance record and the CLI's
+   rendering. *)
 let test_explain_analyzes_once () =
   let w = Workloads.Registry.find "ATAX" in
   let kernels = List.length (Workloads.Workload.kernels w) in
   let was = !Obs.Span.enabled in
-  Obs.Span.reset ();
-  Obs.Span.enabled := true;
-  let answer =
-    Fun.protect
-      ~finally:(fun () -> Obs.Span.enabled := was)
-      (fun () ->
-        Server.default_handler small_cfg
-          { Protocol.id = "e"; tenant = "t"; trace_id = None;
-            kind = Protocol.Explain "ATAX" })
+  let explain () =
+    Obs.Span.reset ();
+    Obs.Span.enabled := true;
+    let answer =
+      Fun.protect
+        ~finally:(fun () -> Obs.Span.enabled := was)
+        (fun () ->
+          Server.default_handler small_cfg
+            { Protocol.id = "e"; tenant = "t"; trace_id = None;
+              kind = Protocol.Explain "ATAX" })
+    in
+    let passes =
+      List.length
+        (List.filter
+           (fun (sp : Obs.Span.t) -> sp.Obs.Span.name = "catt.analyze")
+           (Obs.Span.finished ()))
+    in
+    Obs.Span.reset ();
+    (answer, passes)
   in
-  let passes =
-    List.length
-      (List.filter
-         (fun (sp : Obs.Span.t) -> sp.Obs.Span.name = "catt.analyze")
-         (Obs.Span.finished ()))
-  in
-  Obs.Span.reset ();
+  Runner.clear_memo ();
+  let answer, passes = explain () in
   Alcotest.(check int) "one CATT pass per kernel" kernels passes;
+  let again, passes = explain () in
+  Alcotest.(check int) "a repeated explain runs no CATT pass" 0 passes;
+  (match (answer, again) with
+  | Ok (a, _), Ok (b, _) ->
+    Alcotest.(check string) "repeated answer" (Json.to_string a)
+      (Json.to_string b)
+  | _ -> Alcotest.fail "explain refused");
   let analyses = Experiments.Explain.analyses small_cfg w in
   match answer with
   | Ok (json, _) ->
