@@ -2,9 +2,7 @@
     kernel of a registered workload (at its real launch geometries) and
     collect each kernel's {!Catt.Explain} record.  Shared by the
     [catt_cli explain] subcommand, serve's explain request and the golden
-    explain test, so what the test pins is exactly what the CLI prints.
-    Callers run the pass once ({!analyses}) and render either form, or
-    both, from its result. *)
+    explain test, so what the test pins is exactly what the CLI prints. *)
 
 module Json = Gpu_util.Json
 
@@ -21,8 +19,7 @@ let to_json cfg (w : Workloads.Workload.t) analyses =
       );
     ]
 
-(** The human rendering of [w] from its kernels' [analyses], joined
-    once into a string of the exact length (see {!Catt.Explain.render}). *)
+(** The human rendering of [w] from its kernels' [analyses]. *)
 let to_text cfg (w : Workloads.Workload.t) analyses =
   String.concat ""
     (Printf.sprintf "== %s under CATT ==\n" w.Workloads.Workload.name

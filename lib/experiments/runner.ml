@@ -401,9 +401,8 @@ let kernel_stats_to_json (ks : kernel_stats) =
     ]
 
 (** Everything except traces (trace runs bypass the cache) and the CATT
-    analyses, which are static and deterministic — {!run_of_json} takes
-    them from {!analyses_for} instead of persisting the whole analysis
-    tree. *)
+    analyses, static and deterministic: {!run_of_json} takes them from
+    {!analyses_for} instead of persisting the whole analysis tree. *)
 let run_to_json (r : app_run) =
   Json.Obj
     [
@@ -422,51 +421,38 @@ let run_to_json (r : app_run) =
         | None -> Json.Null );
     ]
 
-(* The CATT analyses of a workload, computed once per config and model.
-   The pass is deterministic, yet a served [analyze] or [explain] and the
-   decode of every CATT or catt-sa entry ({!run_of_json}) each ask for
-   the same workload again.  Keyed by config fingerprint, workload name
-   and scheme; an entry answers only the workload record it was computed
-   for, so a caller's own workload under a registry name is analysed
-   afresh.  At [max_analyses] entries the table starts over, so a sweep
-   over many configs cannot grow it without bound. *)
-let analyses_memo :
-    ( string * string * scheme,
-      Workloads.Workload.t * (string * Catt.Driver.t) list )
-    Hashtbl.t =
-  Hashtbl.create 16
-
+(* The CATT analyses of each (config, workload, scheme), computed once:
+   the pass is deterministic, and serve's analyze and explain and every
+   CATT or catt-sa decode ({!run_of_json}) ask for the same workload
+   again.  An entry answers only the workload record it was made from. *)
+let analyses_memo = Hashtbl.create 16
 let analyses_lock = Mutex.create ()
-let max_analyses = 128
 
 let analyses_for cfg (w : Workloads.Workload.t) scheme =
   let collect model =
-    List.filter_map
-      (fun (name, kernel) ->
-        match
-          Catt.Driver.analyze ~model cfg kernel (geometry_of_kernel w name)
-        with
-        | Ok t -> Some (name, t)
-        | Error _ -> None)
-      (Workloads.Workload.kernels w)
-  in
-  let memoized model =
     let key = (Cache.fingerprint cfg, w.Workloads.Workload.name, scheme) in
     match
       Mutex.protect analyses_lock (fun () -> Hashtbl.find_opt analyses_memo key)
     with
     | Some (w', analyses) when w' == w -> analyses
     | Some _ | None ->
-      let analyses = collect model in
+      let analyses =
+        List.filter_map
+          (fun (name, kernel) ->
+            match
+              Catt.Driver.analyze ~model cfg kernel (geometry_of_kernel w name)
+            with
+            | Ok t -> Some (name, t)
+            | Error _ -> None)
+          (Workloads.Workload.kernels w)
+      in
       Mutex.protect analyses_lock (fun () ->
-          if Hashtbl.length analyses_memo >= max_analyses then
-            Hashtbl.reset analyses_memo;
           Hashtbl.replace analyses_memo key (w, analyses));
       analyses
   in
   match scheme with
-  | Catt -> memoized `Eq8
-  | CattSa -> memoized `Sa
+  | Catt -> collect `Eq8
+  | CattSa -> collect `Sa
   | Baseline | Fixed _ | Dynamic | CcwsSched | DawsSched | Swl _ | Bypass
   | Ciao | Ata ->
     []
@@ -1013,9 +999,8 @@ let () =
   Obs.Metrics.gauge_fn "runner.flights_in_progress" (fun () ->
       float_of_int (flights_in_progress ()))
 
-(** Drops every in-process result, CATT analyses included (the disk
-    cache is untouched) — lets tests exercise the cold-start path of a
-    fresh process. *)
+(** Drops every in-process result and analysis (the disk cache is
+    untouched) — lets tests exercise the cold-start path of a fresh process. *)
 let clear_memo () =
   Mutex.lock memo_lock;
   Hashtbl.reset cell_ladder.memo;
